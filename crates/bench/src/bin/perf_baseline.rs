@@ -302,8 +302,10 @@ fn main() {
         "  scalar {scalar_rps:>10.0} rec/s  lockstep {batch_rps:>10.0} rec/s  ratio {batch_speedup:.3}"
     );
 
+    // Throughput depends on the host; the record names its core count.
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let json = format!(
-        "{{\n  \"schema\": \"dbi-hotpath-perf/v1\",\n  \"effort\": \"{}\",\n  \"build\": \"{}\",\n  \"warmup_insts_per_core\": {},\n  \"measure_insts_per_core\": {},\n  \"headline_quad_core_records_per_sec\": {:.0},\n  \"quad_core_vwq_wall_ratio\": {:.3},\n  \"batch_seeds\": {},\n  \"batch_scalar_records_per_sec\": {:.0},\n  \"batch_lockstep_records_per_sec\": {:.0},\n  \"batch_lockstep_speedup\": {:.3},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"dbi-hotpath-perf/v1\",\n  \"effort\": \"{}\",\n  \"build\": \"{}\",\n  \"cpus\": {cpus},\n  \"warmup_insts_per_core\": {},\n  \"measure_insts_per_core\": {},\n  \"headline_quad_core_records_per_sec\": {:.0},\n  \"quad_core_vwq_wall_ratio\": {:.3},\n  \"batch_seeds\": {},\n  \"batch_scalar_records_per_sec\": {:.0},\n  \"batch_lockstep_records_per_sec\": {:.0},\n  \"batch_lockstep_speedup\": {:.3},\n  \"workloads\": [\n{}\n  ]\n}}\n",
         if effort == Effort::Full { "full" } else { "quick" },
         if cfg!(debug_assertions) { "debug" } else { "release" },
         effort.warmup_insts(),

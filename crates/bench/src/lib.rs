@@ -231,18 +231,32 @@ where
     let slots: Vec<std::sync::Mutex<Option<R>>> = (0..items.len())
         .map(|_| std::sync::Mutex::new(None))
         .collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(&items[i]);
-                *slots[i].lock().expect("slot lock never poisoned") = Some(r);
-            });
+    let first_panic = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
+                    }
+                    let r = f(&items[i]);
+                    *slots[i].lock().expect("slot lock never poisoned") = Some(r);
+                })
+            })
+            .collect();
+        // Join every worker: a scoped thread left unjoined would make the
+        // scope re-panic with a generic message instead of the worker's.
+        let mut first_panic = None;
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                first_panic.get_or_insert(payload);
+            }
         }
+        first_panic
     });
+    if let Some(payload) = first_panic {
+        std::panic::resume_unwind(payload);
+    }
     slots
         .into_iter()
         .map(|slot| {
@@ -322,7 +336,7 @@ mod tests {
     #[test]
     fn parallel_map_preserves_order() {
         let items: Vec<u64> = (0..100).collect();
-        let doubled = parallel_map(&items, |&x| x * 2);
+        let doubled = parallel_map_jobs(&items, Some(4), |&x| x * 2);
         assert_eq!(doubled, (0..100).map(|x| x * 2).collect::<Vec<_>>());
         let empty: Vec<u64> = Vec::new();
         assert!(parallel_map(&empty, |&x: &u64| x).is_empty());
@@ -331,10 +345,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "worker deliberately panicked")]
     fn parallel_map_propagates_worker_panics() {
-        // A panicking closure must surface at the call site (via scoped-
-        // thread join), not deadlock or silently drop the item.
+        // A panicking closure must surface at the call site with its own
+        // message (via scoped-thread join), not deadlock or silently drop
+        // the item. Four workers take the threaded path on every host.
         let items: Vec<u64> = (0..64).collect();
-        let _ = parallel_map(&items, |&x| {
+        let _ = parallel_map_jobs(&items, Some(4), |&x| {
             assert!(x != 13, "worker deliberately panicked");
             x
         });
@@ -345,7 +360,7 @@ mod tests {
         // Far more items than any machine has cores: every slot must be
         // filled exactly once through the shared work queue.
         let items: Vec<u64> = (0..10_000).collect();
-        let out = parallel_map(&items, |&x| x.wrapping_mul(2_654_435_761));
+        let out = parallel_map_jobs(&items, Some(4), |&x| x.wrapping_mul(2_654_435_761));
         assert_eq!(out.len(), items.len());
         for (i, &v) in out.iter().enumerate() {
             assert_eq!(v, (i as u64).wrapping_mul(2_654_435_761));
@@ -359,7 +374,7 @@ mod tests {
         let items: Vec<(usize, f64)> = (0..500).map(|i| (i, i as f64 * 0.25)).collect();
         let render = |&(i, v): &(usize, f64)| vec![format!("mix{i}"), format!("{v:.3}"), pct(v)];
         let serial: Vec<Vec<String>> = items.iter().map(render).collect();
-        let parallel = parallel_map(&items, render);
+        let parallel = parallel_map_jobs(&items, Some(4), render);
         assert_eq!(parallel, serial);
     }
 }

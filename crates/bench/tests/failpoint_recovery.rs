@@ -19,12 +19,13 @@
 //! 5. redoing the operation with failpoints disarmed heals the store,
 //!    and a final scrub finds nothing left to repair.
 //!
-//! Failpoints are process-global, so the whole matrix runs inside ONE
-//! `#[test]` in its own integration-test binary — the harness gives each
-//! test file its own process, and a single test body cannot race itself.
+//! Failpoints are process-global, so the matrix runs in its own
+//! integration-test binary and every test here holds [`serial`] for its
+//! whole body: the harness runs tests on parallel threads, and a fault
+//! armed by one test must never fire inside another.
 
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use dbi_bench::failpoints::{self, CrashStyle, FailMode, FailPlan, FailSpec, Group};
 use dbi_bench::store::{scenario_key, unit_key, ResultStore, StoreKey};
@@ -52,6 +53,13 @@ impl Drop for Scratch {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.dir);
     }
+}
+
+/// Serializes the tests of this binary around the process-global
+/// failpoint registry.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One tiny simulated unit, computed once and shared by every scenario
@@ -159,6 +167,7 @@ fn assert_recovered(group: Group, dir: &Path) {
 
 #[test]
 fn recovery_matrix_covers_every_site_and_mode() {
+    let _serial = serial();
     let (_, key, result) = tiny();
     let mut scenarios = 0;
     for site in all_sites() {
@@ -264,6 +273,7 @@ fn recovery_matrix_covers_every_site_and_mode() {
 /// and round-trip with nothing installed (the production path).
 #[test]
 fn disarmed_failpoints_are_noops() {
+    let _serial = serial();
     let (_, key, result) = tiny();
     let s = Scratch::new("noop");
     let store = ResultStore::open(s.dir.clone());

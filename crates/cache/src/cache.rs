@@ -1,15 +1,12 @@
-//! The set-associative cache model and its word-level dirty/rank index.
+//! The set-associative cache model, stored as a struct of arrays.
 //!
-//! Dirty-state queries used to rank-scan the tag array: every "does this
-//! set hold dirty blocks near eviction?" question compared each line's
-//! replacement metadata against every other line's — O(ways²) per probe,
-//! on the per-writeback path of the Virtual Write Queue. The [`Cache`] now
-//! maintains a [`DirtyView`]-queryable index beside the tag array: one
-//! validity word and one dirty word per set ([`WayMask`]), plus O(1) rank
-//! bookkeeping (an incremental rank permutation under LRU, per-RRPV
-//! population counts under RRIP). The index is updated by every mutation
-//! (insert, promote, evict, invalidate, dirty-bit writes) and rebuilt —
-//! with validation — when a snapshot is restored.
+//! Each fact about a way is stored once. Tags and owning threads are flat
+//! per-way arrays; validity and dirtiness are one word per set
+//! ([`WayMask`]); replacement order is a per-set rank permutation under
+//! LRU and a per-way RRPV byte under RRIP. The same words answer the
+//! [`DirtyView`] queries, so no query ever scans replacement metadata, and
+//! a lookup compares only the tags of valid ways. Snapshots keep the
+//! per-line layout and the index is rebuilt — with validation — on restore.
 
 use std::error::Error;
 use std::fmt;
@@ -323,42 +320,20 @@ pub struct ProbedLine {
     pub rank: usize,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    block: BlockAddr,
-    valid: bool,
-    dirty: bool,
-    thread: ThreadId,
-    /// LRU timestamp or RRPV, depending on [`ReplacementKind`].
-    meta: i64,
+const RRPV_MAX: u8 = 3;
+const RRPV_LONG: u8 = 2;
+
+/// The mask of every way of a `ways`-way set.
+fn all_ways(ways: usize) -> u64 {
+    u64::MAX >> (64 - ways)
 }
 
-const INVALID: Line = Line {
-    block: 0,
-    valid: false,
-    dirty: false,
-    thread: 0,
-    meta: 0,
-};
-
-const RRPV_MAX: i64 = 3;
-const RRPV_LONG: i64 = 2;
-
-/// Bit index of `(set, way)` in the slot-per-word [`DirtyWords`] layout.
-#[inline]
-fn slot_bit(set: usize, way: usize) -> u64 {
-    (set * 64 + way) as u64
-}
-
-/// The word-level dirty/rank index maintained beside the tag array.
+/// Per-set validity, dirtiness and replacement order — the only copy of
+/// each, read by both the cache operations and the [`DirtyView`] queries.
 ///
-/// The replacement metadata in [`Line::meta`] stays the ground truth for
-/// victim selection; this structure is the *query* representation, kept
-/// coherent incrementally so rank-filtered dirty queries never loop over
-/// metadata. Under LRU, timestamps are unique, so per-line ranks form a
-/// permutation that updates in O(ways) byte ops per mutation. Under RRIP,
-/// RRPVs tie (ranks are shared), so ranks derive in O(1) from per-RRPV
-/// population counts instead.
+/// Under LRU the order is a rank permutation and its inverse, updated with
+/// word-parallel byte passes. Under RRIP, RRPVs tie (ranks are shared), so
+/// ranks derive in O(1) from per-RRPV population counts instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct DirtyRankIndex {
     /// Per-set validity words (bit `set * 64 + w` = way `w` of `set` holds
@@ -366,13 +341,14 @@ struct DirtyRankIndex {
     valid: DirtyWords,
     /// Per-set dirty words, same layout: bit set ⇔ valid *and* dirty.
     dirty: DirtyWords,
-    /// Per-line recency rank (LRU only; empty under RRIP).
+    /// Per-way recency rank, 0 = next victim (LRU only; empty under RRIP).
+    /// Meaningful only for valid ways.
     rank: Vec<u8>,
     /// Per-set way-at-rank permutation (LRU only; empty under RRIP):
     /// `lru_stack[set * ways + r]` is the way holding rank `r`. The
     /// inverse of `rank`, kept so bottom-of-stack queries read `k` bytes
     /// instead of visiting every dirty way, and so LRU victim selection
-    /// is a single byte read instead of a timestamp scan.
+    /// is a single byte read.
     lru_stack: Vec<u8>,
     /// Per-set RRPV population counts (RRIP only; empty under LRU).
     rrpv_cnt: Vec<[u8; 4]>,
@@ -381,21 +357,16 @@ struct DirtyRankIndex {
 impl DirtyRankIndex {
     fn new(config: &CacheConfig) -> DirtyRankIndex {
         let sets = config.sets() as usize;
+        let (lru_ways, rrip_sets) = match config.replacement {
+            ReplacementKind::Lru => (config.blocks() as usize, 0),
+            ReplacementKind::Rrip => (0, sets),
+        };
         DirtyRankIndex {
             valid: DirtyWords::per_word_slots(sets),
             dirty: DirtyWords::per_word_slots(sets),
-            rank: match config.replacement {
-                ReplacementKind::Lru => vec![0; config.blocks() as usize],
-                ReplacementKind::Rrip => Vec::new(),
-            },
-            lru_stack: match config.replacement {
-                ReplacementKind::Lru => vec![0; config.blocks() as usize],
-                ReplacementKind::Rrip => Vec::new(),
-            },
-            rrpv_cnt: match config.replacement {
-                ReplacementKind::Lru => Vec::new(),
-                ReplacementKind::Rrip => vec![[0; 4]; sets],
-            },
+            rank: vec![0; lru_ways],
+            lru_stack: vec![0; lru_ways],
+            rrpv_cnt: vec![[0; 4]; rrip_sets],
         }
     }
 }
@@ -413,15 +384,16 @@ impl DirtyRankIndex {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    lines: Vec<Line>,
+    /// Block address per way (`set * ways + way`); stale where the set's
+    /// valid word has the way clear.
+    tags: Vec<BlockAddr>,
+    /// Inserting thread per way, indexed and validated like `tags`.
+    owner: Vec<ThreadId>,
+    /// RRPV per way (RRIP only; empty under LRU).
+    rrpv: Vec<u8>,
     /// `sets() - 1` when the set count is a power of two (the common
     /// geometry), letting [`set_of`](Cache::set_of) mask instead of divide.
     set_mask: Option<u64>,
-    clock: i64,
-    /// Decrementing counter handing out "older than everything" timestamps
-    /// for LRU-position (LIP/bimodal) insertions: the newest such insertion
-    /// is always the set's next victim.
-    low_clock: i64,
     index: DirtyRankIndex,
     stats: CacheStats,
 }
@@ -430,15 +402,18 @@ impl Cache {
     /// Creates an empty cache.
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
-        let lines = vec![INVALID; config.blocks() as usize];
+        let blocks = config.blocks() as usize;
         let sets = config.sets();
         Cache {
             index: DirtyRankIndex::new(&config),
+            tags: vec![0; blocks],
+            owner: vec![0; blocks],
+            rrpv: match config.replacement {
+                ReplacementKind::Lru => Vec::new(),
+                ReplacementKind::Rrip => vec![0; blocks],
+            },
             config,
-            lines,
             set_mask: sets.is_power_of_two().then(|| sets - 1),
-            clock: 0,
-            low_clock: 0,
             stats: CacheStats::default(),
         }
     }
@@ -458,19 +433,20 @@ impl Cache {
         })
     }
 
-    fn set_range(&self, block: BlockAddr) -> std::ops::Range<usize> {
-        let set = self.set_of(block).index();
+    /// Bit of the way at flat index `i` in the slot-per-word
+    /// [`DirtyWords`] layout (bit `set * 64 + way`).
+    fn bit(&self, i: usize) -> u64 {
         let ways = self.config.ways;
-        set * ways..(set + 1) * ways
+        (i / ways * 64 + i % ways) as u64
     }
 
+    /// Flat way index of `block`, comparing only the tags of valid ways.
     fn find(&self, block: BlockAddr) -> Option<usize> {
-        let range = self.set_range(block);
-        let base = range.start;
-        self.lines[range]
-            .iter()
-            .position(|l| l.valid && l.block == block)
+        let set = self.set_of(block).index();
+        let base = set * self.config.ways;
+        WayIter(self.index.valid.word(set))
             .map(|way| base + way)
+            .find(|&i| self.tags[i] == block)
     }
 
     /// Probes for `block` without updating replacement state or stats
@@ -481,29 +457,23 @@ impl Cache {
     }
 
     /// Issues host prefetch hints for the model state a lookup of `block`
-    /// would touch: its set's tag lines and the set's valid/dirty index
+    /// would touch: its set's tag slab and the set's valid/dirty index
     /// words. Bulk queries with known targets ([`DirtyView::probe_many`])
     /// hint every set before the first tag walk. A pure performance hint —
     /// no simulated state (stats, replacement, dirty bits) changes.
     pub fn prefetch_block(&self, block: BlockAddr) {
         let set = self.set_of(block).index();
-        let range = self.set_range(block);
-        let lines = &self.lines[range];
-        // The tag walk reads every way of the set: hint each host cache
-        // line of the slab (Line is ~24 B, so ~3 ways per 64 B line).
-        let bytes = std::mem::size_of_val(lines);
-        let base = lines.as_ptr().cast::<u8>();
-        let mut off = 0;
-        while off < bytes {
-            dbi::prefetch_read(base.wrapping_add(off));
-            off += 64;
+        let base = set * self.config.ways;
+        // One hint per host cache line of the set's tags (8 ways per 64 B).
+        let tags = &self.tags[base..base + self.config.ways];
+        for off in (0..std::mem::size_of_val(tags)).step_by(64) {
+            dbi::prefetch_read(tags.as_ptr().cast::<u8>().wrapping_add(off));
         }
         self.index.valid.prefetch_word(set);
         self.index.dirty.prefetch_word(set);
         // Replacement metadata: a hit's promotion and a miss's victim
         // selection both read the set's rank/stack (LRU) or RRPV count
         // (RRIP) slabs — one host line each.
-        let base = set * self.config.ways;
         match self.config.replacement {
             ReplacementKind::Lru => {
                 dbi::prefetch_read(self.index.rank[base..].as_ptr());
@@ -522,8 +492,7 @@ impl Cache {
             ReplacementKind::Lru => usize::from(self.index.rank[i]),
             ReplacementKind::Rrip => {
                 let c = &self.index.rrpv_cnt[i / self.config.ways];
-                let v = self.lines[i].meta as usize;
-                c[v + 1..=RRPV_MAX as usize]
+                c[usize::from(self.rrpv[i]) + 1..]
                     .iter()
                     .map(|&x| usize::from(x))
                     .sum()
@@ -531,33 +500,49 @@ impl Cache {
         }
     }
 
-    /// Index update: the valid line at `i` leaves its set.
-    fn index_remove(&mut self, i: usize) {
-        let ways = self.config.ways;
-        let (set, way) = (i / ways, i % ways);
-        self.index.valid.clear(slot_bit(set, way));
-        self.index.dirty.clear(slot_bit(set, way));
+    /// The replacement value a snapshot carries for the valid line at `i`
+    /// — its LRU rank, or its RRPV — and that
+    /// [`rebuild_index`](Cache::rebuild_index) restores from.
+    fn meta(&self, i: usize) -> i64 {
         match self.config.replacement {
-            ReplacementKind::Lru => {
-                // Every line that was more protected moves one rank down.
-                let base = set * ways;
-                let r = usize::from(self.index.rank[i]);
-                let remaining = self.index.valid.word(set).count_ones() as usize;
-                for pos in r..remaining {
-                    let w = usize::from(self.index.lru_stack[base + pos + 1]);
-                    self.index.lru_stack[base + pos] = w as u8;
-                    self.index.rank[base + w] -= 1;
-                }
-            }
-            ReplacementKind::Rrip => {
-                self.index.rrpv_cnt[set][self.lines[i].meta as usize] -= 1;
-            }
+            ReplacementKind::Lru => i64::from(self.index.rank[i]),
+            ReplacementKind::Rrip => i64::from(self.rrpv[i]),
         }
     }
 
-    /// Index update: `lines[i]` was just written with a new valid line
-    /// inserted at `pos` (its `meta` already reflects the insertion).
-    fn index_place(&mut self, i: usize, pos: InsertPos) {
+    /// LRU: takes the valid line at `i` out of its set's recency stack of
+    /// `n` lines; every line ranked above it moves one rank down.
+    fn lru_unlink(&mut self, i: usize, n: usize) {
+        let ways = self.config.ways;
+        let base = i / ways * ways;
+        let r = self.index.rank[i];
+        let from = base + usize::from(r);
+        self.index.lru_stack.copy_within(from + 1..base + n, from);
+        for x in &mut self.index.rank[base..base + ways] {
+            *x -= u8::from(*x > r);
+        }
+    }
+
+    /// Index update: the valid line at `i` leaves its set.
+    fn index_remove(&mut self, i: usize) {
+        let set = i / self.config.ways;
+        match self.config.replacement {
+            ReplacementKind::Lru => {
+                let n = self.index.valid.word(set).count_ones() as usize;
+                self.lru_unlink(i, n);
+            }
+            ReplacementKind::Rrip => {
+                self.index.rrpv_cnt[set][usize::from(self.rrpv[i])] -= 1;
+            }
+        }
+        let bit = self.bit(i);
+        self.index.valid.clear(bit);
+        self.index.dirty.clear(bit);
+    }
+
+    /// Index update: the free way at `i` now holds a line inserted at `pos`
+    /// (under RRIP its RRPV is already written).
+    fn index_place(&mut self, i: usize, pos: InsertPos, dirty: bool) {
         let ways = self.config.ways;
         let (set, way) = (i / ways, i % ways);
         match self.config.replacement {
@@ -568,72 +553,55 @@ impl Cache {
                     // Newer than everything resident: top rank.
                     InsertPos::Mru => {
                         self.index.rank[i] = n as u8;
-                        self.index.lru_stack[base + n] = (i - base) as u8;
+                        self.index.lru_stack[base + n] = way as u8;
                     }
                     // Older than everything resident: rank 0, rest move up.
+                    // Stale ranks of free ways never exceed `n` this way.
                     InsertPos::Lru => {
-                        for pos in (0..n).rev() {
-                            let w = usize::from(self.index.lru_stack[base + pos]);
-                            self.index.lru_stack[base + pos + 1] = w as u8;
-                            self.index.rank[base + w] += 1;
+                        self.index.lru_stack.copy_within(base..base + n, base + 1);
+                        for x in &mut self.index.rank[base..base + ways] {
+                            *x += u8::from(usize::from(*x) < n);
                         }
                         self.index.rank[i] = 0;
-                        self.index.lru_stack[base] = (i - base) as u8;
+                        self.index.lru_stack[base] = way as u8;
                     }
                 }
             }
             ReplacementKind::Rrip => {
-                self.index.rrpv_cnt[set][self.lines[i].meta as usize] += 1;
+                self.index.rrpv_cnt[set][usize::from(self.rrpv[i])] += 1;
             }
         }
-        self.index.valid.set(slot_bit(set, way));
-        self.index
-            .dirty
-            .assign(slot_bit(set, way), self.lines[i].dirty);
-    }
-
-    /// Index update: the valid line at `i` was promoted to MRU (LRU only).
-    /// Cost is proportional to how far below MRU the line sat, so re-hits
-    /// on hot lines cost nothing.
-    fn index_promote_lru(&mut self, i: usize) {
-        let ways = self.config.ways;
-        let set = i / ways;
-        let base = set * ways;
-        let r = usize::from(self.index.rank[i]);
-        let n = self.index.valid.word(set).count_ones() as usize;
-        for pos in r..n - 1 {
-            let w = usize::from(self.index.lru_stack[base + pos + 1]);
-            self.index.lru_stack[base + pos] = w as u8;
-            self.index.rank[base + w] -= 1;
-        }
-        self.index.rank[i] = (n - 1) as u8;
-        self.index.lru_stack[base + n - 1] = (i - base) as u8;
+        self.index.valid.set(self.bit(i));
+        self.index.dirty.assign(self.bit(i), dirty);
     }
 
     /// Looks up `block` and, on a hit, promotes it (recency update / RRPV
     /// reset). Returns whether it hit. This is the demand-access path.
     pub fn touch(&mut self, block: BlockAddr) -> bool {
         self.stats.lookups += 1;
-        match self.find(block) {
-            Some(i) => {
-                self.stats.hits += 1;
-                match self.config.replacement {
-                    ReplacementKind::Lru => {
-                        self.clock += 1;
-                        self.lines[i].meta = self.clock;
-                        self.index_promote_lru(i);
-                    }
-                    ReplacementKind::Rrip => {
-                        let c = &mut self.index.rrpv_cnt[i / self.config.ways];
-                        c[self.lines[i].meta as usize] -= 1;
-                        c[0] += 1;
-                        self.lines[i].meta = 0;
-                    }
+        let Some(i) = self.find(block) else {
+            return false;
+        };
+        self.stats.hits += 1;
+        let ways = self.config.ways;
+        match self.config.replacement {
+            ReplacementKind::Lru => {
+                // Re-hits on the MRU line change nothing.
+                let n = self.index.valid.word(i / ways).count_ones() as usize;
+                if usize::from(self.index.rank[i]) + 1 < n {
+                    self.lru_unlink(i, n);
+                    self.index.rank[i] = (n - 1) as u8;
+                    self.index.lru_stack[i / ways * ways + n - 1] = (i % ways) as u8;
                 }
-                true
             }
-            None => false,
+            ReplacementKind::Rrip => {
+                let c = &mut self.index.rrpv_cnt[i / ways];
+                c[usize::from(self.rrpv[i])] -= 1;
+                c[0] += 1;
+                self.rrpv[i] = 0;
+            }
         }
+        true
     }
 
     /// Inserts `block` at `pos`, returning the displaced victim if the set
@@ -647,83 +615,59 @@ impl Cache {
     ) -> Option<Victim> {
         if let Some(i) = self.find(block) {
             // Refill of a resident block: merge dirty state, keep recency.
-            self.lines[i].dirty |= dirty;
             if dirty {
-                let ways = self.config.ways;
-                self.index.dirty.set(slot_bit(i / ways, i % ways));
+                self.index.dirty.set(self.bit(i));
             }
             return None;
         }
         self.stats.insertions += 1;
-        let range = self.set_range(block);
-        let set = range.start / self.config.ways;
-        let slot = match range.clone().find(|&i| !self.lines[i].valid) {
-            Some(free) => free,
-            None => self.victim_way(range, set),
-        };
-        let victim = if self.lines[slot].valid {
-            self.stats.evictions += 1;
-            if self.lines[slot].dirty {
-                self.stats.dirty_evictions += 1;
-            }
-            let v = Victim {
-                block: self.lines[slot].block,
-                dirty: self.lines[slot].dirty,
-                thread: self.lines[slot].thread,
-            };
-            self.index_remove(slot);
-            Some(v)
+        let ways = self.config.ways;
+        let set = self.set_of(block).index();
+        let free = !self.index.valid.word(set) & all_ways(ways);
+        let (slot, victim) = if free != 0 {
+            (set * ways + free.trailing_zeros() as usize, None)
         } else {
-            None
+            let i = self.victim_way(set);
+            let v = Victim {
+                block: self.tags[i],
+                dirty: self.index.dirty.get(self.bit(i)),
+                thread: self.owner[i],
+            };
+            self.stats.evictions += 1;
+            self.stats.dirty_evictions += u64::from(v.dirty);
+            self.index_remove(i);
+            (i, Some(v))
         };
-        let meta = match (self.config.replacement, pos) {
-            (ReplacementKind::Lru, InsertPos::Mru) => {
-                self.clock += 1;
-                self.clock
-            }
-            (ReplacementKind::Lru, InsertPos::Lru) => {
-                // Older than everything resident: next in line for eviction.
-                self.low_clock -= 1;
-                self.low_clock
-            }
-            (ReplacementKind::Rrip, InsertPos::Mru) => RRPV_LONG,
-            (ReplacementKind::Rrip, InsertPos::Lru) => RRPV_MAX,
-        };
-        self.lines[slot] = Line {
-            block,
-            valid: true,
-            dirty,
-            thread,
-            meta,
-        };
-        self.index_place(slot, pos);
+        self.tags[slot] = block;
+        self.owner[slot] = thread;
+        if self.config.replacement == ReplacementKind::Rrip {
+            self.rrpv[slot] = match pos {
+                InsertPos::Mru => RRPV_LONG,
+                InsertPos::Lru => RRPV_MAX,
+            };
+        }
+        self.index_place(slot, pos, dirty);
         victim
     }
 
-    fn victim_way(&mut self, range: std::ops::Range<usize>, set: usize) -> usize {
+    /// The way a full `set` gives up: rank 0 under LRU, the first line at
+    /// the distant RRPV under RRIP (aging the set until one is).
+    fn victim_way(&mut self, set: usize) -> usize {
+        let base = set * self.config.ways;
         match self.config.replacement {
-            ReplacementKind::Lru => {
-                // Rank 0 of a full set is the oldest timestamp, including
-                // the "older than everything" low-clock insertions.
-                let i = range.start + usize::from(self.index.lru_stack[range.start]);
-                debug_assert_eq!(
-                    Some(i),
-                    range.clone().min_by_key(|&i| self.lines[i].meta),
-                    "stack bottom diverged from the timestamp scan"
-                );
-                i
-            }
+            ReplacementKind::Lru => base + usize::from(self.index.lru_stack[base]),
             ReplacementKind::Rrip => loop {
-                if let Some(i) = range.clone().find(|&i| self.lines[i].meta >= RRPV_MAX) {
-                    break i;
+                let rrpv = &mut self.rrpv[base..base + self.config.ways];
+                if let Some(way) = rrpv.iter().position(|&v| v >= RRPV_MAX) {
+                    break base + way;
                 }
-                for i in range.clone() {
-                    self.lines[i].meta += 1;
+                for v in rrpv {
+                    *v += 1;
                 }
                 // Aging only runs when no line sat at RRPV_MAX, so the top
                 // bucket is empty before the shift.
                 let c = &mut self.index.rrpv_cnt[set];
-                debug_assert_eq!(c[RRPV_MAX as usize], 0);
+                debug_assert_eq!(c[usize::from(RRPV_MAX)], 0);
                 *c = [0, c[0], c[1], c[2]];
             },
         }
@@ -732,14 +676,13 @@ impl Cache {
     /// Removes `block`, returning its line if it was resident.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<Victim> {
         let i = self.find(block)?;
-        let line = self.lines[i];
+        let v = Victim {
+            block,
+            dirty: self.index.dirty.get(self.bit(i)),
+            thread: self.owner[i],
+        };
         self.index_remove(i);
-        self.lines[i] = INVALID;
-        Some(Victim {
-            block: line.block,
-            dirty: line.dirty,
-            thread: line.thread,
-        })
+        Some(v)
     }
 
     /// Sets or clears the tag-store dirty bit — the one dirty-state
@@ -747,9 +690,7 @@ impl Cache {
     pub fn mark_dirty(&mut self, block: BlockAddr, dirty: bool) -> bool {
         match self.find(block) {
             Some(i) => {
-                self.lines[i].dirty = dirty;
-                let ways = self.config.ways;
-                self.index.dirty.assign(slot_bit(i / ways, i % ways), dirty);
+                self.index.dirty.assign(self.bit(i), dirty);
                 true
             }
             None => false,
@@ -767,15 +708,20 @@ impl Cache {
     /// Thread that inserted `block`; `None` if not resident.
     #[must_use]
     pub fn owner(&self, block: BlockAddr) -> Option<ThreadId> {
-        self.find(block).map(|i| self.lines[i].thread)
+        self.find(block).map(|i| self.owner[i])
     }
 
-    /// Iterates over all resident blocks as `(block, dirty, thread)`.
+    /// Iterates over all resident blocks as `(block, dirty, thread)`, in
+    /// set order and ascending way order within a set.
     pub fn blocks(&self) -> impl Iterator<Item = (BlockAddr, bool, ThreadId)> + '_ {
-        self.lines
-            .iter()
-            .filter(|l| l.valid)
-            .map(|l| (l.block, l.dirty, l.thread))
+        let ways = self.config.ways;
+        (0..self.config.sets() as usize).flat_map(move |set| {
+            let dirty = self.index.dirty.word(set);
+            WayIter(self.index.valid.word(set)).map(move |way| {
+                let i = set * ways + way;
+                (self.tags[i], dirty >> way & 1 == 1, self.owner[i])
+            })
+        })
     }
 
     /// Number of resident blocks.
@@ -796,42 +742,28 @@ impl Cache {
         std::mem::take(&mut self.stats)
     }
 
-    /// Rebuilds the dirty/rank index from the tag array — the reference
-    /// rank scan the incremental index reproduces. Used after a snapshot
-    /// restore, where it doubles as validation: restored metadata that no
-    /// writer could have produced (duplicate LRU timestamps, out-of-range
-    /// RRPVs) is rejected as corruption.
-    fn rebuild_index(&mut self) -> Result<(), dbi::snap::SnapError> {
+    /// Rebuilds the replacement order from per-way snapshot values `meta`
+    /// (read only at valid ways): under LRU a line's rank is the number of
+    /// valid lines in its set with a smaller value, so any order-preserving
+    /// relabelling — old timestamps or ranks — rebuilds the same index.
+    /// Values no writer could have produced (duplicates under LRU,
+    /// out-of-range RRPVs) are rejected as corruption.
+    fn rebuild_index(&mut self, meta: &[i64]) -> Result<(), dbi::snap::SnapError> {
         use dbi::snap::SnapError;
         let ways = self.config.ways;
         for set in 0..self.config.sets() as usize {
             let base = set * ways;
-            let mut valid = 0u64;
-            let mut dirty = 0u64;
-            for way in 0..ways {
-                let l = &self.lines[base + way];
-                if l.valid {
-                    valid |= 1 << way;
-                    if l.dirty {
-                        dirty |= 1 << way;
-                    }
-                }
-            }
-            self.index.valid.set_word(set, valid);
-            self.index.dirty.set_word(set, dirty);
+            let valid = self.index.valid.word(set);
             match self.config.replacement {
                 ReplacementKind::Lru => {
-                    // rank = number of valid lines with an older timestamp;
-                    // unique timestamps make the ranks a permutation.
                     let mut seen = 0u64;
                     for way in WayIter(valid) {
-                        let meta = self.lines[base + way].meta;
                         let r = WayIter(valid)
-                            .filter(|&o| self.lines[base + o].meta < meta)
+                            .filter(|&o| meta[base + o] < meta[base + way])
                             .count();
                         if seen & (1 << r) != 0 {
                             return Err(SnapError::Corrupt(format!(
-                                "duplicate LRU timestamp in cache set {set}"
+                                "duplicate LRU order value in cache set {set}"
                             )));
                         }
                         seen |= 1 << r;
@@ -842,13 +774,18 @@ impl Cache {
                 ReplacementKind::Rrip => {
                     let mut c = [0u8; 4];
                     for way in WayIter(valid) {
-                        let meta = self.lines[base + way].meta;
-                        if !(0..=RRPV_MAX).contains(&meta) {
-                            return Err(SnapError::Corrupt(format!(
-                                "RRPV {meta} out of range in cache set {set}"
-                            )));
-                        }
-                        c[meta as usize] += 1;
+                        let m = meta[base + way];
+                        let v =
+                            u8::try_from(m)
+                                .ok()
+                                .filter(|&v| v <= RRPV_MAX)
+                                .ok_or_else(|| {
+                                    SnapError::Corrupt(format!(
+                                        "RRPV {m} out of range in cache set {set}"
+                                    ))
+                                })?;
+                        self.rrpv[base + way] = v;
+                        c[usize::from(v)] += 1;
                     }
                     self.index.rrpv_cnt[set] = c;
                 }
@@ -857,53 +794,54 @@ impl Cache {
         Ok(())
     }
 
-    /// Test support: recomputes the index from the tag array (the
-    /// reference rank scan) and panics on any divergence from the
-    /// incrementally maintained state.
+    /// Test support: checks the index's internal invariants and panics on
+    /// any violation — no dirty bit on an invalid way, and a replacement
+    /// order that a rebuild from this cache's own snapshot values
+    /// reproduces exactly (LRU ranks a permutation of the valid lines with
+    /// `lru_stack` its inverse; RRPV counts matching the RRPVs).
     #[doc(hidden)]
     pub fn assert_index_coherent(&self) {
+        let meta: Vec<i64> = (0..self.tags.len()).map(|i| self.meta(i)).collect();
         let mut reference = self.clone();
         reference
-            .rebuild_index()
-            .expect("live tag state always rebuilds");
-        assert_eq!(
-            reference.index.valid, self.index.valid,
-            "valid words diverged from the tag array"
-        );
-        assert_eq!(
-            reference.index.dirty, self.index.dirty,
-            "dirty words diverged from the tag array"
-        );
-        match self.config.replacement {
-            ReplacementKind::Lru => {
-                let ways = self.config.ways;
-                for set in 0..self.config.sets() as usize {
-                    let valid = reference.index.valid.word(set);
-                    for way in WayIter(valid) {
-                        assert_eq!(
-                            reference.index.rank[set * ways + way],
-                            self.index.rank[set * ways + way],
-                            "rank of set {set} way {way} diverged from the reference scan"
-                        );
-                    }
-                    // Only the first `nvalid` stack slots are meaningful;
-                    // slots above hold leftovers from removals.
-                    for r in 0..valid.count_ones() as usize {
-                        assert_eq!(
-                            reference.index.lru_stack[set * ways + r],
-                            self.index.lru_stack[set * ways + r],
-                            "stack slot {r} of set {set} diverged from the reference scan"
-                        );
-                    }
+            .rebuild_index(&meta)
+            .expect("live replacement state always rebuilds");
+        let ways = self.config.ways;
+        for set in 0..self.config.sets() as usize {
+            let valid = self.index.valid.word(set);
+            assert_eq!(
+                self.index.dirty.word(set) & !valid,
+                0,
+                "dirty bit on an invalid way of set {set}"
+            );
+            assert_eq!(
+                valid & !all_ways(ways),
+                0,
+                "valid bit past the ways of set {set}"
+            );
+            if self.config.replacement == ReplacementKind::Lru {
+                for way in WayIter(valid) {
+                    assert_eq!(
+                        reference.index.rank[set * ways + way],
+                        self.index.rank[set * ways + way],
+                        "rank of set {set} way {way} is not a permutation"
+                    );
+                }
+                // Only the first `nvalid` stack slots are meaningful;
+                // slots above hold leftovers from removals.
+                for r in 0..valid.count_ones() as usize {
+                    assert_eq!(
+                        reference.index.lru_stack[set * ways + r],
+                        self.index.lru_stack[set * ways + r],
+                        "stack slot {r} of set {set} is not the inverse of the ranks"
+                    );
                 }
             }
-            ReplacementKind::Rrip => {
-                assert_eq!(
-                    reference.index.rrpv_cnt, self.index.rrpv_cnt,
-                    "RRPV counts diverged from the reference scan"
-                );
-            }
         }
+        assert_eq!(
+            reference.index.rrpv_cnt, self.index.rrpv_cnt,
+            "RRPV counts diverged from the RRPVs"
+        );
     }
 }
 
@@ -923,8 +861,7 @@ impl<'a> DirtyView<'a> {
     #[must_use]
     pub fn is_dirty(&self, block: BlockAddr) -> Option<bool> {
         let i = self.cache.find(block)?;
-        let ways = self.cache.config.ways;
-        Some(self.cache.index.dirty.get(slot_bit(i / ways, i % ways)))
+        Some(self.cache.index.dirty.get(self.cache.bit(i)))
     }
 
     /// Dirty bit, owning thread, and recency rank of `block` from a single
@@ -933,10 +870,9 @@ impl<'a> DirtyView<'a> {
     #[must_use]
     pub fn probe(&self, block: BlockAddr) -> Option<ProbedLine> {
         let i = self.cache.find(block)?;
-        let line = &self.cache.lines[i];
         Some(ProbedLine {
-            dirty: line.dirty,
-            owner: line.thread,
+            dirty: self.cache.index.dirty.get(self.cache.bit(i)),
+            owner: self.cache.owner[i],
             rank: self.cache.rank_of(i),
         })
     }
@@ -1044,9 +980,11 @@ impl<'a> DirtyView<'a> {
         let cache = self.cache;
         let base = set.index() * cache.config.ways;
         mask.ways().map(move |w| {
-            let line = &cache.lines[base + w];
-            debug_assert!(line.valid, "mask names an invalid way");
-            line.block
+            debug_assert!(
+                WayMask(cache.index.valid.word(set.index())).contains(w),
+                "mask names an invalid way"
+            );
+            cache.tags[base + w]
         })
     }
 }
@@ -1087,18 +1025,20 @@ impl dbi::snap::Snapshot for CacheStats {
 impl dbi::snap::Snapshot for Cache {
     fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
         w.u8(self.config.replacement.snap_code());
-        w.usize(self.lines.len());
-        for line in &self.lines {
-            w.bool(line.valid);
-            if line.valid {
-                w.u64(line.block);
-                w.bool(line.dirty);
-                w.u8(line.thread);
-                w.i64(line.meta);
+        w.usize(self.tags.len());
+        for i in 0..self.tags.len() {
+            let valid = self.index.valid.get(self.bit(i));
+            w.bool(valid);
+            if valid {
+                w.u64(self.tags[i]);
+                w.bool(self.index.dirty.get(self.bit(i)));
+                w.u8(self.owner[i]);
+                w.i64(self.meta(i));
             }
         }
-        w.i64(self.clock);
-        w.i64(self.low_clock);
+        // Two retired LRU clock words, kept so the byte layout is unchanged.
+        w.i64(0);
+        w.i64(0);
         self.stats.snapshot(w);
     }
 
@@ -1112,41 +1052,34 @@ impl dbi::snap::Snapshot for Cache {
                 found: u64::from(code),
             });
         }
-        r.expect_len("cache lines", self.lines.len())?;
-        let ways = self.config.ways;
-        let set_mask = self.set_mask;
-        let sets = self.config.sets();
-        let set_of = |block: u64| match set_mask {
-            Some(mask) => block & mask,
-            None => block % sets,
-        };
-        for (i, line) in self.lines.iter_mut().enumerate() {
+        r.expect_len("cache lines", self.tags.len())?;
+        let mut meta = vec![0i64; self.tags.len()];
+        self.index.valid.clear_all();
+        self.index.dirty.clear_all();
+        for (i, meta) in meta.iter_mut().enumerate() {
             if r.bool()? {
                 let block = r.u64()?;
                 // A valid line must sit in the set its block maps to.
-                if set_of(block) as usize != i / ways {
+                if self.set_of(block).index() != i / self.config.ways {
                     return Err(SnapError::Corrupt(format!(
                         "cache line for block {block} restored into wrong set"
                     )));
                 }
-                *line = Line {
-                    block,
-                    valid: true,
-                    dirty: r.bool()?,
-                    thread: r.u8()?,
-                    meta: r.i64()?,
-                };
-            } else {
-                *line = INVALID;
+                self.tags[i] = block;
+                self.index.valid.set(self.bit(i));
+                self.index.dirty.assign(self.bit(i), r.bool()?);
+                self.owner[i] = r.u8()?;
+                *meta = r.i64()?;
             }
         }
-        self.clock = r.i64()?;
-        self.low_clock = r.i64()?;
+        // The retired LRU clock words: older snapshots carry timestamps.
+        r.i64()?;
+        r.i64()?;
         self.stats.restore(r)?;
-        // The index is derived state: rebuild (and validate) it from the
-        // restored lines, so resumed runs answer every dirty/rank query
-        // bit-identically to the run that wrote the snapshot.
-        self.rebuild_index()
+        // Rebuild (and validate) the replacement order from the restored
+        // values, so resumed runs answer every dirty/rank query and pick
+        // every victim bit-identically to the run that wrote the snapshot.
+        self.rebuild_index(&meta)
     }
 }
 

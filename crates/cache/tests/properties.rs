@@ -1,65 +1,152 @@
 //! Property-based tests for the cache substrate: the set-associative cache
-//! must agree with a brute-force reference model of LRU semantics and dirty
-//! bookkeeping under arbitrary operation sequences, and the incrementally
-//! maintained word-level dirty/rank index must agree with a reference
-//! rank-scan of the tag array after every mutation.
+//! must agree with a brute-force reference model of LRU semantics, dirty
+//! bookkeeping and line ownership under arbitrary operation sequences, on
+//! narrow and wide (32-, 64-way) sets and on set counts that are not powers
+//! of two; and the word-level dirty/rank index must answer every query like
+//! the reference model's rank scan after every mutation and across snapshot
+//! restores.
 
 use std::collections::VecDeque;
 
-use cache_sim::{Cache, CacheConfig, InsertPos, SetIdx};
+use cache_sim::{Cache, CacheConfig, InsertPos, ReplacementKind, SetIdx, Victim};
+use dbi::snap::{restore_bytes, snapshot_bytes, SnapReader, SnapWriter};
 use proptest::prelude::*;
 
-#[derive(Debug, Clone)]
+/// Owner threads the generated insertions are spread over.
+const THREADS: u8 = 4;
+
+#[derive(Debug, Clone, Copy)]
 enum Op {
     Touch(u64),
-    InsertMru(u64, bool),
-    InsertLru(u64, bool),
+    Insert {
+        block: u64,
+        thread: u8,
+        mru: bool,
+        dirty: bool,
+    },
     MarkDirty(u64, bool),
     Invalidate(u64),
 }
 
-fn op_strategy(space: u64) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        3 => (0..space).prop_map(Op::Touch),
-        3 => (0..space, any::<bool>()).prop_map(|(b, d)| Op::InsertMru(b, d)),
-        1 => (0..space, any::<bool>()).prop_map(|(b, d)| Op::InsertLru(b, d)),
-        1 => (0..space, any::<bool>()).prop_map(|(b, d)| Op::MarkDirty(b, d)),
-        1 => (0..space).prop_map(Op::Invalidate),
-    ]
-}
-
-/// Applies `op` to `cache` without caring about the outcome (for tests that
-/// only need a well-exercised cache state).
-fn apply(cache: &mut Cache, op: &Op) {
-    match *op {
-        Op::Touch(b) => {
-            cache.touch(b);
-        }
-        Op::InsertMru(b, d) => {
-            cache.insert(b, 0, InsertPos::Mru, d);
-        }
-        Op::InsertLru(b, d) => {
-            cache.insert(b, 0, InsertPos::Lru, d);
-        }
-        Op::MarkDirty(b, d) => {
-            cache.mark_dirty(b, d);
-        }
-        Op::Invalidate(b) => {
-            cache.invalidate(b);
+impl Op {
+    /// The same operation on block `block % space`.
+    fn within(self, space: u64) -> Op {
+        match self {
+            Op::Touch(b) => Op::Touch(b % space),
+            Op::Insert {
+                block,
+                thread,
+                mru,
+                dirty,
+            } => Op::Insert {
+                block: block % space,
+                thread,
+                mru,
+                dirty,
+            },
+            Op::MarkDirty(b, d) => Op::MarkDirty(b % space, d),
+            Op::Invalidate(b) => Op::Invalidate(b % space),
         }
     }
 }
 
-/// Brute-force reference: per-set recency queue (front = LRU) of
-/// `(block, dirty)` pairs. A block's queue position *is* its recency rank.
+/// Operations over raw blocks `0..2^16`; tests fold them into a
+/// geometry's block space with [`Op::within`].
+fn op_strategy() -> impl Strategy<Value = Op> {
+    let insert = |mru: bool| {
+        (0..1u64 << 16, 0..THREADS, any::<bool>()).prop_map(move |(block, thread, dirty)| {
+            Op::Insert {
+                block,
+                thread,
+                mru,
+                dirty,
+            }
+        })
+    };
+    prop_oneof![
+        3 => (0..1u64 << 16).prop_map(Op::Touch),
+        3 => insert(true),
+        1 => insert(false),
+        1 => (0..1u64 << 16, any::<bool>()).prop_map(|(b, d)| Op::MarkDirty(b, d)),
+        1 => (0..1u64 << 16).prop_map(Op::Invalidate),
+    ]
+}
+
+/// `(sets, ways)`: small sets that collide often, 32- and 64-way sets, and
+/// set counts that are not powers of two (the cache divides instead of
+/// masking).
+fn geometry() -> impl Strategy<Value = (usize, usize)> {
+    prop::sample::select(vec![(8, 4), (4, 4), (4, 32), (2, 64), (3, 8), (6, 16)])
+}
+
+fn cache_for((sets, ways): (usize, usize), kind: ReplacementKind) -> Cache {
+    let config = CacheConfig::new((sets * ways * 64) as u64, ways, 64).unwrap();
+    Cache::new(config.with_replacement(kind))
+}
+
+/// Block space of 1.5x a geometry's capacity: sets fill and evict, and
+/// evicted blocks come back.
+fn space((sets, ways): (usize, usize)) -> u64 {
+    (sets * ways * 3 / 2) as u64
+}
+
+/// The `k` values rank-filtered queries are checked at: the ends of the
+/// stack and the fractions the writeback sweeps use.
+fn ranks_to_check(ways: usize) -> Vec<usize> {
+    let mut ks = vec![0, 1, 2, ways / 4, ways / 2, ways - 1, ways];
+    ks.sort_unstable();
+    ks.dedup();
+    ks
+}
+
+/// Applies `op` to `cache`, returning its outcome: whether a touch hit or
+/// a mark found its block, and the displaced line of an insert or
+/// invalidate.
+fn apply(cache: &mut Cache, op: Op) -> (bool, Option<Victim>) {
+    match op {
+        Op::Touch(b) => (cache.touch(b), None),
+        Op::Insert {
+            block,
+            thread,
+            mru,
+            dirty,
+        } => {
+            let pos = if mru { InsertPos::Mru } else { InsertPos::Lru };
+            (false, cache.insert(block, thread, pos, dirty))
+        }
+        Op::MarkDirty(b, d) => (cache.mark_dirty(b, d), None),
+        Op::Invalidate(b) => (false, cache.invalidate(b)),
+    }
+}
+
+/// One resident line of the reference model.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry {
+    block: u64,
+    dirty: bool,
+    thread: u8,
+}
+
+impl From<Victim> for Entry {
+    fn from(v: Victim) -> Entry {
+        Entry {
+            block: v.block,
+            dirty: v.dirty,
+            thread: v.thread,
+        }
+    }
+}
+
+/// Brute-force reference: per-set recency queue (front = LRU) of lines. A
+/// block's queue position *is* its recency rank.
 #[derive(Debug)]
 struct Reference {
-    sets: Vec<VecDeque<(u64, bool)>>,
+    sets: Vec<VecDeque<Entry>>,
     ways: usize,
 }
 
 impl Reference {
-    fn new(sets: usize, ways: usize) -> Self {
+    fn new((sets, ways): (usize, usize)) -> Self {
         Reference {
             sets: vec![VecDeque::new(); sets],
             ways,
@@ -74,7 +161,7 @@ impl Reference {
         let s = self.set_of(block);
         self.sets[s]
             .iter()
-            .position(|&(b, _)| b == block)
+            .position(|e| e.block == block)
             .map(|i| (s, i))
     }
 
@@ -89,21 +176,32 @@ impl Reference {
         }
     }
 
-    fn insert(&mut self, block: u64, dirty: bool, mru: bool) -> Option<(u64, bool)> {
-        if let Some((s, i)) = self.find(block) {
-            self.sets[s][i].1 |= dirty;
+    fn insert(&mut self, entry: Entry, mru: bool) -> Option<Entry> {
+        if let Some((s, i)) = self.find(entry.block) {
+            self.sets[s][i].dirty |= entry.dirty;
             return None;
         }
-        let s = self.set_of(block);
+        let s = self.set_of(entry.block);
         let victim = (self.sets[s].len() == self.ways).then(|| {
             self.sets[s].pop_front().unwrap() // LRU eviction
         });
         if mru {
-            self.sets[s].push_back((block, dirty));
+            self.sets[s].push_back(entry);
         } else {
-            self.sets[s].push_front((block, dirty));
+            self.sets[s].push_front(entry);
         }
         victim
+    }
+
+    fn mark_dirty(&mut self, block: u64, dirty: bool) -> bool {
+        self.find(block)
+            .map(|(s, i)| self.sets[s][i].dirty = dirty)
+            .is_some()
+    }
+
+    fn invalidate(&mut self, block: u64) -> Option<Entry> {
+        self.find(block)
+            .map(|(s, i)| self.sets[s].remove(i).unwrap())
     }
 
     /// The dirty blocks of `set` whose rank (queue position) is below `k`
@@ -112,12 +210,43 @@ impl Reference {
         let mut v: Vec<u64> = self.sets[set]
             .iter()
             .take(k)
-            .filter(|&&(_, d)| d)
-            .map(|&(b, _)| b)
+            .filter(|e| e.dirty)
+            .map(|e| e.block)
             .collect();
         v.sort_unstable();
         v
     }
+}
+
+/// Applies `op` to both models, failing the case if the outcome (hit,
+/// victim, found) differs.
+fn step(cache: &mut Cache, reference: &mut Reference, op: Op) -> Result<(), TestCaseError> {
+    match op {
+        Op::Touch(b) => prop_assert_eq!(cache.touch(b), reference.touch(b)),
+        Op::Insert {
+            block,
+            thread,
+            mru,
+            dirty,
+        } => {
+            let pos = if mru { InsertPos::Mru } else { InsertPos::Lru };
+            let got = cache.insert(block, thread, pos, dirty).map(Entry::from);
+            let entry = Entry {
+                block,
+                dirty,
+                thread,
+            };
+            prop_assert_eq!(got, reference.insert(entry, mru));
+        }
+        Op::MarkDirty(b, d) => prop_assert_eq!(cache.mark_dirty(b, d), reference.mark_dirty(b, d)),
+        Op::Invalidate(b) => {
+            prop_assert_eq!(
+                cache.invalidate(b).map(Entry::from),
+                reference.invalidate(b)
+            );
+        }
+    }
+    Ok(())
 }
 
 /// Resolves a cache's `in_lru_ways` mask to a sorted block list.
@@ -128,92 +257,94 @@ fn harvest(cache: &Cache, set: SetIdx, k: usize) -> Vec<u64> {
     v
 }
 
+/// Re-encodes an LRU cache snapshot with every valid line's order value
+/// replaced by `relabel(set, value)` and the two retired clock words by
+/// `clocks` — the shape of a snapshot taken by a writer that stored
+/// timestamps instead of ranks.
+fn relabel_snapshot(
+    bytes: &[u8],
+    ways: usize,
+    relabel: impl Fn(usize, i64) -> i64,
+    clocks: [i64; 2],
+) -> Vec<u8> {
+    let mut r = SnapReader::new(bytes).unwrap();
+    let mut w = SnapWriter::new();
+    w.u8(r.u8().unwrap());
+    let lines = r.usize().unwrap();
+    w.usize(lines);
+    for i in 0..lines {
+        let valid = r.bool().unwrap();
+        w.bool(valid);
+        if valid {
+            w.u64(r.u64().unwrap());
+            w.bool(r.bool().unwrap());
+            w.u8(r.u8().unwrap());
+            w.i64(relabel(i / ways, r.i64().unwrap()));
+        }
+    }
+    for clock in clocks {
+        r.i64().unwrap();
+        w.i64(clock);
+    }
+    // The five stats counters.
+    for _ in 0..5 {
+        w.u64(r.u64().unwrap());
+    }
+    r.finish().unwrap();
+    w.finish()
+}
+
 proptest! {
     /// The cache agrees with the reference model on residency, dirtiness,
-    /// hit/miss outcomes, and victim identity for every LRU operation mix.
+    /// ownership, hit/miss outcomes, victim identity, and recency rank for
+    /// every LRU operation mix.
     #[test]
     fn lru_cache_matches_reference(
-        ops in prop::collection::vec(op_strategy(128), 1..300),
+        geometry in geometry(),
+        ops in prop::collection::vec(op_strategy(), 1..600),
     ) {
-        // 8 sets x 4 ways.
-        let mut cache = Cache::new(CacheConfig::new(8 * 4 * 64, 4, 64).unwrap());
-        let mut reference = Reference::new(8, 4);
+        let mut cache = cache_for(geometry, ReplacementKind::Lru);
+        let mut reference = Reference::new(geometry);
 
         for op in ops {
-            match op {
-                Op::Touch(b) => {
-                    prop_assert_eq!(cache.touch(b), reference.touch(b));
-                }
-                Op::InsertMru(b, d) | Op::InsertLru(b, d) => {
-                    let mru = matches!(op, Op::InsertMru(..));
-                    let got = cache.insert(b, 0, if mru { InsertPos::Mru } else { InsertPos::Lru }, d);
-                    let want = reference.insert(b, d, mru);
-                    prop_assert_eq!(got.map(|v| (v.block, v.dirty)), want);
-                }
-                Op::MarkDirty(b, d) => {
-                    let found = cache.mark_dirty(b, d);
-                    let rfound = reference.find(b).is_some();
-                    prop_assert_eq!(found, rfound);
-                    if let Some((s, i)) = reference.find(b) {
-                        reference.sets[s][i].1 = d;
-                    }
-                }
-                Op::Invalidate(b) => {
-                    let got = cache.invalidate(b);
-                    let want = reference.find(b).map(|(s, i)| {
-                        reference.sets[s].remove(i).unwrap()
-                    });
-                    prop_assert_eq!(got.map(|v| (v.block, v.dirty)), want);
-                }
-            }
-            // Residency and dirty bits agree exactly after every op.
-            let mut got: Vec<(u64, bool)> =
-                cache.blocks().map(|(b, d, _)| (b, d)).collect();
-            got.sort_unstable();
-            let mut want: Vec<(u64, bool)> = reference
-                .sets
-                .iter()
-                .flatten()
-                .copied()
+            step(&mut cache, &mut reference, op.within(space(geometry)))?;
+            // Residency, dirty bits and owners agree exactly after every op.
+            let got: Vec<Entry> = cache
+                .blocks()
+                .map(|(block, dirty, thread)| Entry { block, dirty, thread })
                 .collect();
+            let mut sorted = got.clone();
+            sorted.sort_unstable();
+            let mut want: Vec<Entry> = reference.sets.iter().flatten().copied().collect();
             want.sort_unstable();
-            prop_assert_eq!(got, want);
+            prop_assert_eq!(sorted, want);
+            for e in got {
+                prop_assert_eq!(cache.owner(e.block), Some(e.thread));
+                let p = cache.dirty().probe(e.block).expect("resident");
+                let (s, i) = reference.find(e.block).expect("reference resident");
+                prop_assert_eq!((p.dirty, p.owner), (e.dirty, e.thread));
+                prop_assert_eq!(p.rank, i, "rank of block {} in set {}", e.block, s);
+            }
         }
     }
 
-    /// The incremental dirty/rank index answers every rank-filtered dirty
-    /// query exactly like the reference model's rank scan, after every
-    /// single mutation — and never diverges from the tag array's own
-    /// metadata (checked by the built-in reference re-scan).
+    /// The dirty/rank index answers every rank-filtered dirty query exactly
+    /// like the reference model's rank scan, after every single mutation,
+    /// and its own invariants hold throughout.
     #[test]
     fn lru_dirty_index_matches_reference_rank_scan(
-        ops in prop::collection::vec(op_strategy(96), 1..250),
+        geometry in geometry(),
+        ops in prop::collection::vec(op_strategy(), 1..400),
     ) {
-        // 4 sets x 4 ways keeps sets colliding often.
-        let mut cache = Cache::new(CacheConfig::new(4 * 4 * 64, 4, 64).unwrap());
-        let mut reference = Reference::new(4, 4);
+        let (sets, ways) = geometry;
+        let mut cache = cache_for(geometry, ReplacementKind::Lru);
+        let mut reference = Reference::new(geometry);
 
         for op in ops {
-            match op {
-                Op::Touch(b) => { reference.touch(b); }
-                Op::InsertMru(b, d) => { reference.insert(b, d, true); }
-                Op::InsertLru(b, d) => { reference.insert(b, d, false); }
-                Op::MarkDirty(b, d) => {
-                    if let Some((s, i)) = reference.find(b) {
-                        reference.sets[s][i].1 = d;
-                    }
-                }
-                Op::Invalidate(b) => {
-                    if let Some((s, i)) = reference.find(b) {
-                        reference.sets[s].remove(i);
-                    }
-                }
-            }
-            apply(&mut cache, &op);
-
+            step(&mut cache, &mut reference, op.within(space(geometry)))?;
             cache.assert_index_coherent();
-            for set in 0..4usize {
-                for k in 0..=4usize {
+            for set in 0..sets {
+                for k in ranks_to_check(ways) {
                     prop_assert_eq!(
                         harvest(&cache, SetIdx(set as u64), k),
                         reference.dirty_in_lru_ways(set, k),
@@ -224,38 +355,31 @@ proptest! {
                 let view = cache.dirty();
                 prop_assert_eq!(
                     view.mask(SetIdx(set as u64)),
-                    view.in_lru_ways(SetIdx(set as u64), 4)
+                    view.in_lru_ways(SetIdx(set as u64), ways)
                 );
             }
             for (b, d, _) in cache.blocks() {
                 prop_assert_eq!(cache.dirty().is_dirty(b), Some(d));
-                let p = cache.dirty().probe(b).expect("resident");
-                prop_assert_eq!(p.dirty, d);
-                let (s, i) = reference.find(b).expect("reference resident");
-                prop_assert_eq!(p.rank, i, "rank of block {} in set {}", b, s);
             }
         }
     }
 
     /// Under RRIP — where RRPVs tie and ranks are shared, not a
-    /// permutation — the incremental index still matches the reference
-    /// rank-scan of the tag metadata after every mutation, and the mask
-    /// query agrees with per-block probes.
+    /// permutation — the index's invariants hold after every mutation, and
+    /// the mask query agrees with per-block probes.
     #[test]
     fn rrip_dirty_index_matches_reference_rank_scan(
-        ops in prop::collection::vec(op_strategy(96), 1..250),
+        geometry in geometry(),
+        ops in prop::collection::vec(op_strategy(), 1..250),
     ) {
-        use cache_sim::ReplacementKind;
-        let config = CacheConfig::new(4 * 4 * 64, 4, 64)
-            .unwrap()
-            .with_replacement(ReplacementKind::Rrip);
-        let mut cache = Cache::new(config);
+        let (sets, ways) = geometry;
+        let mut cache = cache_for(geometry, ReplacementKind::Rrip);
 
         for op in ops {
-            apply(&mut cache, &op);
+            apply(&mut cache, op.within(space(geometry)));
             cache.assert_index_coherent();
-            for set in 0..4u64 {
-                for k in 0..=4usize {
+            for set in 0..sets as u64 {
+                for k in ranks_to_check(ways) {
                     let via_mask = harvest(&cache, SetIdx(set), k);
                     let mut via_probe: Vec<u64> = cache
                         .blocks()
@@ -313,28 +437,29 @@ proptest! {
 
     /// A snapshot/restore round trip reconstructs the dirty/rank index
     /// exactly: the restored cache answers every dirty-view query the same
-    /// as the original, under both replacement kinds.
+    /// as the original and re-snapshots to the same bytes, under both
+    /// replacement kinds.
     #[test]
     fn dirty_index_survives_snapshot_roundtrip(
-        ops in prop::collection::vec(op_strategy(96), 1..250),
+        geometry in geometry(),
+        ops in prop::collection::vec(op_strategy(), 1..250),
         rrip in any::<bool>(),
     ) {
-        use cache_sim::ReplacementKind;
-        let config = CacheConfig::new(4 * 4 * 64, 4, 64).unwrap().with_replacement(
-            if rrip { ReplacementKind::Rrip } else { ReplacementKind::Lru },
-        );
-        let mut cache = Cache::new(config);
+        let (sets, ways) = geometry;
+        let kind = if rrip { ReplacementKind::Rrip } else { ReplacementKind::Lru };
+        let mut cache = cache_for(geometry, kind);
         for op in &ops {
-            apply(&mut cache, op);
+            apply(&mut cache, op.within(space(geometry)));
         }
 
-        let bytes = dbi::snap::snapshot_bytes(&cache);
-        let mut restored = Cache::new(config);
-        dbi::snap::restore_bytes(&mut restored, &bytes).unwrap();
+        let bytes = snapshot_bytes(&cache);
+        let mut restored = cache_for(geometry, kind);
+        restore_bytes(&mut restored, &bytes).unwrap();
 
         restored.assert_index_coherent();
-        for set in 0..4u64 {
-            for k in 0..=4usize {
+        prop_assert_eq!(snapshot_bytes(&restored), bytes);
+        for set in 0..sets as u64 {
+            for k in 0..=ways {
                 prop_assert_eq!(
                     harvest(&restored, SetIdx(set), k),
                     harvest(&cache, SetIdx(set), k)
@@ -349,6 +474,49 @@ proptest! {
             prop_assert_eq!(restored.dirty().probe(b), cache.dirty().probe(b));
         }
     }
+
+    /// Restore reads LRU order values only through their order within a
+    /// set: relabelling every valid line's value with an order-preserving
+    /// map (and the retired clock words with anything) rebuilds the same
+    /// index, and the restored cache then picks the same victims as the
+    /// original.
+    #[test]
+    fn lru_restore_is_invariant_under_order_preserving_relabel(
+        geometry in geometry(),
+        ops in prop::collection::vec(op_strategy(), 1..300),
+        more in prop::collection::vec(op_strategy(), 1..200),
+        scale in 1i64..1_000_000,
+        offset in -1_000_000_000_000i64..1_000_000_000_000,
+        clocks in (any::<i64>(), any::<i64>()),
+    ) {
+        let (sets, ways) = geometry;
+        let mut cache = cache_for(geometry, ReplacementKind::Lru);
+        for op in &ops {
+            apply(&mut cache, op.within(space(geometry)));
+        }
+        // Strictly increasing in the rank for every set, with a per-set
+        // offset: only the order within a set is meaningful.
+        let relabel = |set: usize, rank: i64| offset + set as i64 * 7919 + rank * scale + rank * rank;
+        let bytes = relabel_snapshot(&snapshot_bytes(&cache), ways, relabel, [clocks.0, clocks.1]);
+        let mut restored = cache_for(geometry, ReplacementKind::Lru);
+        restore_bytes(&mut restored, &bytes).unwrap();
+
+        restored.assert_index_coherent();
+        prop_assert_eq!(snapshot_bytes(&restored), snapshot_bytes(&cache));
+        for set in 0..sets as u64 {
+            for k in 0..=ways {
+                prop_assert_eq!(
+                    harvest(&restored, SetIdx(set), k),
+                    harvest(&cache, SetIdx(set), k)
+                );
+            }
+        }
+        for op in more {
+            let op = op.within(space(geometry));
+            prop_assert_eq!(apply(&mut restored, op), apply(&mut cache, op));
+        }
+        prop_assert_eq!(snapshot_bytes(&restored), snapshot_bytes(&cache));
+    }
 }
 
 proptest! {
@@ -359,7 +527,6 @@ proptest! {
     fn rrip_structural_sanity(
         blocks in prop::collection::vec(0u64..256, 1..300),
     ) {
-        use cache_sim::ReplacementKind;
         let config = CacheConfig::new(8 * 4 * 64, 4, 64)
             .unwrap()
             .with_replacement(ReplacementKind::Rrip);
