@@ -12,7 +12,11 @@
 //! overrides the output location. `--max-vwq-ratio R` turns the VWQ
 //! hot-path regression gate on: the binary exits nonzero when the
 //! quad-core VWQ wall time exceeds `R` times the median mechanism wall
-//! time (CI pins this at 1.25).
+//! time (CI pins this at 1.25). A single run of that ratio swings by up to
+//! 20% on a busy host, so the quad-core section runs [`QUAD_TRIALS`] times
+//! and the gate compares the median of the per-trial ratios; the JSON
+//! records their min, median and max, the median per-trial headline, and
+//! lists the trial whose ratio is the median.
 //!
 //! The baseline also carries a **batch dimension**: the same fixed
 //! workload run over N seeds once sequentially (N scalar sessions) and
@@ -198,6 +202,10 @@ fn measure_batch(
     (records as f64 / scalar_wall, records as f64 / batch_wall)
 }
 
+/// Runs of the quad-core section; the VWQ gate and the headline take the
+/// median over them.
+const QUAD_TRIALS: usize = 5;
+
 /// Quad-core VWQ wall time over the median mechanism wall time — the
 /// metric the word-level dirty/rank index exists to hold down. VWQ's
 /// per-writeback SSV refreshes made it the slowest mechanism by far
@@ -210,6 +218,31 @@ fn vwq_wall_ratio(runs: &[Measurement]) -> f64 {
     let mut walls: Vec<f64> = runs.iter().map(|m| m.wall_seconds).collect();
     walls.sort_by(f64::total_cmp);
     vwq.wall_seconds / walls[walls.len() / 2]
+}
+
+/// Times every mechanism on `mix` once, logging each to stderr.
+fn measure_all(mix: &WorkloadMix, cores: usize, effort: Effort) -> Vec<Measurement> {
+    MECHANISMS
+        .iter()
+        .map(|&mechanism| {
+            let m = measure(mix, cores, mechanism, effort);
+            eprintln!(
+                "  {:<14} {:>8.2}s  {:>10.0} rec/s  {:>7.4} allocs/rec",
+                m.mechanism,
+                m.wall_seconds,
+                m.records_per_sec(),
+                m.allocs_per_record(),
+            );
+            m
+        })
+        .collect()
+}
+
+/// The median of `xs` (the upper one for an even count).
+fn median(xs: &[f64]) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
 }
 
 fn main() {
@@ -251,36 +284,44 @@ fn main() {
         Benchmark::Stream,
     ]);
 
-    let mut sections = Vec::new();
-    let mut headline = 0.0f64;
-    let mut vwq_ratio = 0.0f64;
-    for (name, cores, mix) in [
-        ("single_core_lbm", 1usize, &single),
-        ("quad_core_mix", 4usize, &quad),
-    ] {
-        eprintln!("{name} ({} mechanisms)...", MECHANISMS.len());
-        let runs: Vec<Measurement> = MECHANISMS
+    eprintln!("single_core_lbm ({} mechanisms)...", MECHANISMS.len());
+    let single_runs = measure_all(&single, 1, effort);
+    let mut trials: Vec<Vec<Measurement>> = (1..=QUAD_TRIALS)
+        .map(|trial| {
+            eprintln!(
+                "quad_core_mix ({} mechanisms), trial {trial}/{QUAD_TRIALS}...",
+                MECHANISMS.len()
+            );
+            measure_all(&quad, 4, effort)
+        })
+        .collect();
+    let headline = median(
+        &trials
             .iter()
-            .map(|&mechanism| {
-                let m = measure(mix, cores, mechanism, effort);
-                eprintln!(
-                    "  {:<14} {:>8.2}s  {:>10.0} rec/s  {:>7.4} allocs/rec",
-                    m.mechanism,
-                    m.wall_seconds,
-                    m.records_per_sec(),
-                    m.allocs_per_record(),
-                );
-                m
+            .map(|runs| {
+                let records: u64 = runs.iter().map(|m| m.records).sum();
+                let wall: f64 = runs.iter().map(|m| m.wall_seconds).sum();
+                records as f64 / wall
             })
-            .collect();
-        if name == "quad_core_mix" {
-            let records: u64 = runs.iter().map(|m| m.records).sum();
-            let wall: f64 = runs.iter().map(|m| m.wall_seconds).sum();
-            headline = records as f64 / wall;
-            vwq_ratio = vwq_wall_ratio(&runs);
-        }
-        sections.push(json_for(name, cores, mix.benchmarks(), &runs));
-    }
+            .collect::<Vec<_>>(),
+    );
+    trials.sort_by(|a, b| vwq_wall_ratio(a).total_cmp(&vwq_wall_ratio(b)));
+    let vwq_ratio_min = vwq_wall_ratio(&trials[0]);
+    let vwq_ratio = vwq_wall_ratio(&trials[QUAD_TRIALS / 2]);
+    let vwq_ratio_max = vwq_wall_ratio(&trials[QUAD_TRIALS - 1]);
+    eprintln!(
+        "  vwq wall ratio over {QUAD_TRIALS} trials: min {vwq_ratio_min:.3}  \
+         median {vwq_ratio:.3}  max {vwq_ratio_max:.3}"
+    );
+    let sections = [
+        json_for("single_core_lbm", 1, single.benchmarks(), &single_runs),
+        json_for(
+            "quad_core_mix",
+            4,
+            quad.benchmarks(),
+            &trials[QUAD_TRIALS / 2],
+        ),
+    ];
 
     let batch_width = if args.batch_seeds > 1 {
         args.batch_seeds
@@ -305,13 +346,15 @@ fn main() {
     // Throughput depends on the host; the record names its core count.
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let json = format!(
-        "{{\n  \"schema\": \"dbi-hotpath-perf/v1\",\n  \"effort\": \"{}\",\n  \"build\": \"{}\",\n  \"cpus\": {cpus},\n  \"warmup_insts_per_core\": {},\n  \"measure_insts_per_core\": {},\n  \"headline_quad_core_records_per_sec\": {:.0},\n  \"quad_core_vwq_wall_ratio\": {:.3},\n  \"batch_seeds\": {},\n  \"batch_scalar_records_per_sec\": {:.0},\n  \"batch_lockstep_records_per_sec\": {:.0},\n  \"batch_lockstep_speedup\": {:.3},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"dbi-hotpath-perf/v1\",\n  \"effort\": \"{}\",\n  \"build\": \"{}\",\n  \"cpus\": {cpus},\n  \"warmup_insts_per_core\": {},\n  \"measure_insts_per_core\": {},\n  \"headline_quad_core_records_per_sec\": {:.0},\n  \"quad_core_trials\": {QUAD_TRIALS},\n  \"quad_core_vwq_wall_ratio\": {:.3},\n  \"quad_core_vwq_wall_ratio_min\": {:.3},\n  \"quad_core_vwq_wall_ratio_max\": {:.3},\n  \"batch_seeds\": {},\n  \"batch_scalar_records_per_sec\": {:.0},\n  \"batch_lockstep_records_per_sec\": {:.0},\n  \"batch_lockstep_speedup\": {:.3},\n  \"workloads\": [\n{}\n  ]\n}}\n",
         if effort == Effort::Full { "full" } else { "quick" },
         if cfg!(debug_assertions) { "debug" } else { "release" },
         effort.warmup_insts(),
         effort.measure_insts(),
         headline,
         vwq_ratio,
+        vwq_ratio_min,
+        vwq_ratio_max,
         batch_width,
         scalar_rps,
         batch_rps,
@@ -332,11 +375,11 @@ fn main() {
     if let Some(max) = max_vwq_ratio {
         if vwq_ratio > max {
             eprintln!(
-                "error: quad-core VWQ wall ratio {vwq_ratio:.3} exceeds the --max-vwq-ratio \
-                 gate of {max:.3} — the SSV refresh path has regressed"
+                "error: median quad-core VWQ wall ratio {vwq_ratio:.3} over {QUAD_TRIALS} trials \
+                 exceeds the --max-vwq-ratio gate of {max:.3} — the SSV refresh path has regressed"
             );
             std::process::exit(1);
         }
-        eprintln!("vwq ratio gate: {vwq_ratio:.3} <= {max:.3}, OK");
+        eprintln!("vwq ratio gate: median {vwq_ratio:.3} <= {max:.3}, OK");
     }
 }

@@ -2,12 +2,16 @@
 //!
 //! Each fact about a way is stored once. Tags and owning threads are flat
 //! per-way arrays; validity and dirtiness are one word per set
-//! ([`WayMask`]); replacement order is a per-set rank permutation under
-//! LRU and a per-way RRPV byte under RRIP. The same words answer the
+//! ([`WayMask`]); replacement order is one rank byte per way under LRU and
+//! one RRPV byte per way under RRIP. The same words answer the
 //! [`DirtyView`] queries, so no query ever scans replacement metadata, and
-//! a lookup compares only the tags of valid ways. Snapshots keep the
-//! per-line layout and the index is rebuilt — with validation — on restore.
+//! a lookup compares only the tags of valid ways. Ways are addressed by set
+//! and way, so no hot path divides, and a one-entry memo of the last lookup
+//! lets a follow-up operation on the same block skip a second set walk.
+//! Snapshots keep the per-line layout and the index is rebuilt — with
+//! validation — on restore.
 
+use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
 
@@ -328,12 +332,44 @@ fn all_ways(ways: usize) -> u64 {
     u64::MAX >> (64 - ways)
 }
 
+/// Bit of way `way` of `set` in the slot-per-word [`DirtyWords`] layout.
+fn bit(set: usize, way: usize) -> u64 {
+    (set * 64 + way) as u64
+}
+
+/// Bytes per set in the LRU rank slab: `ways` rounded up to whole `u64`
+/// words, so a set's ranks load as words.
+fn rank_stride(ways: usize) -> usize {
+    ways.next_multiple_of(8)
+}
+
+/// `0x01` in every byte lane of a word.
+const LANE_ONES: u64 = 0x0101_0101_0101_0101;
+/// The high bit of every byte lane of a word.
+const LANE_HIGHS: u64 = LANE_ONES << 7;
+
+/// Bit `l` is set ⇔ byte lane `l` of `word` (little-endian) is below `k`:
+/// eight byte compares in one word (SWAR, "SIMD within a register").
+///
+/// Exact when every lane is below 0x80 and `k` is at most 0x80: setting a
+/// lane's high bit and subtracting `k` then never borrows across lanes,
+/// and the high bit survives exactly when the lane is at least `k`.
+fn lanes_below(word: u64, k: u8) -> u64 {
+    debug_assert!(word & LANE_HIGHS == 0 && k <= 0x80);
+    let at_least = (word | LANE_HIGHS) - LANE_ONES * u64::from(k);
+    let below = !at_least & LANE_HIGHS;
+    // Gather the eight high bits into the top byte, lane `l` to bit 56 + l.
+    (below >> 7).wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
 /// Per-set validity, dirtiness and replacement order — the only copy of
 /// each, read by both the cache operations and the [`DirtyView`] queries.
 ///
-/// Under LRU the order is a rank permutation and its inverse, updated with
-/// word-parallel byte passes. Under RRIP, RRPVs tie (ranks are shared), so
-/// ranks derive in O(1) from per-RRPV population counts instead.
+/// Under LRU the order is one rank byte per way, and rank-filtered
+/// questions (the victim, the dirty ways among the bottom `k`) compare
+/// eight rank bytes per word with [`lanes_below`]. Under RRIP, RRPVs tie
+/// (ranks are shared), so ranks derive in O(1) from per-RRPV population
+/// counts instead.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct DirtyRankIndex {
     /// Per-set validity words (bit `set * 64 + w` = way `w` of `set` holds
@@ -341,15 +377,15 @@ struct DirtyRankIndex {
     valid: DirtyWords,
     /// Per-set dirty words, same layout: bit set ⇔ valid *and* dirty.
     dirty: DirtyWords,
-    /// Per-way recency rank, 0 = next victim (LRU only; empty under RRIP).
-    /// Meaningful only for valid ways.
+    /// Per-way recency rank, 0 = next victim (LRU only; empty under RRIP),
+    /// at `set * rank_stride(ways) + way`. Meaningful only for valid ways:
+    /// a free way keeps a stale byte, and row padding stays 0.
+    ///
+    /// The word-parallel compares need every byte — valid, stale or
+    /// padding — below 0x80. Valid ranks are below `ways ≤ 64`, and the
+    /// update passes only ever lower a stale byte or raise it to at most
+    /// the set's line count, so no byte ever exceeds 64.
     rank: Vec<u8>,
-    /// Per-set way-at-rank permutation (LRU only; empty under RRIP):
-    /// `lru_stack[set * ways + r]` is the way holding rank `r`. The
-    /// inverse of `rank`, kept so bottom-of-stack queries read `k` bytes
-    /// instead of visiting every dirty way, and so LRU victim selection
-    /// is a single byte read.
-    lru_stack: Vec<u8>,
     /// Per-set RRPV population counts (RRIP only; empty under LRU).
     rrpv_cnt: Vec<[u8; 4]>,
 }
@@ -357,15 +393,14 @@ struct DirtyRankIndex {
 impl DirtyRankIndex {
     fn new(config: &CacheConfig) -> DirtyRankIndex {
         let sets = config.sets() as usize;
-        let (lru_ways, rrip_sets) = match config.replacement {
-            ReplacementKind::Lru => (config.blocks() as usize, 0),
+        let (rank_bytes, rrip_sets) = match config.replacement {
+            ReplacementKind::Lru => (sets * rank_stride(config.ways), 0),
             ReplacementKind::Rrip => (0, sets),
         };
         DirtyRankIndex {
             valid: DirtyWords::per_word_slots(sets),
             dirty: DirtyWords::per_word_slots(sets),
-            rank: vec![0; lru_ways],
-            lru_stack: vec![0; lru_ways],
+            rank: vec![0; rank_bytes],
             rrpv_cnt: vec![[0; 4]; rrip_sets],
         }
     }
@@ -395,6 +430,14 @@ pub struct Cache {
     /// geometry), letting [`set_of`](Cache::set_of) mask instead of divide.
     set_mask: Option<u64>,
     index: DirtyRankIndex,
+    /// The last [`find`](Cache::find): its block and the way holding it,
+    /// `None` if the block was absent. A follow-up on the same block —
+    /// `insert` after a missed `touch`, `mark_dirty` after a hit, `owner`
+    /// after `probe` — reuses it instead of walking the set again. Cleared
+    /// whenever the resident blocks change (`insert`, `invalidate`,
+    /// `restore`). A `Cell` because [`DirtyView`] queries look up through
+    /// `&Cache`.
+    memo: Cell<Option<(BlockAddr, Option<u8>)>>,
     stats: CacheStats,
 }
 
@@ -414,6 +457,7 @@ impl Cache {
             },
             config,
             set_mask: sets.is_power_of_two().then(|| sets - 1),
+            memo: Cell::new(None),
             stats: CacheStats::default(),
         }
     }
@@ -433,20 +477,28 @@ impl Cache {
         })
     }
 
-    /// Bit of the way at flat index `i` in the slot-per-word
-    /// [`DirtyWords`] layout (bit `set * 64 + way`).
-    fn bit(&self, i: usize) -> u64 {
-        let ways = self.config.ways;
-        (i / ways * 64 + i % ways) as u64
+    /// `(set, way)` of `block` — from the memo when `block` was the last
+    /// block looked up, otherwise from a walk of its set.
+    fn find(&self, block: BlockAddr) -> Option<(usize, usize)> {
+        let set = self.set_of(block).index();
+        let way = match self.memo.get() {
+            Some((last, way)) if last == block => way,
+            _ => {
+                let way = self.walk(set, block);
+                self.memo.set(Some((block, way)));
+                way
+            }
+        };
+        way.map(|w| (set, usize::from(w)))
     }
 
-    /// Flat way index of `block`, comparing only the tags of valid ways.
-    fn find(&self, block: BlockAddr) -> Option<usize> {
-        let set = self.set_of(block).index();
+    /// The way of `set` holding `block`, comparing only the tags of valid
+    /// ways.
+    fn walk(&self, set: usize, block: BlockAddr) -> Option<u8> {
         let base = set * self.config.ways;
         WayIter(self.index.valid.word(set))
-            .map(|way| base + way)
-            .find(|&i| self.tags[i] == block)
+            .find(|&way| self.tags[base + way] == block)
+            .map(|way| way as u8)
     }
 
     /// Probes for `block` without updating replacement state or stats
@@ -472,12 +524,12 @@ impl Cache {
         self.index.valid.prefetch_word(set);
         self.index.dirty.prefetch_word(set);
         // Replacement metadata: a hit's promotion and a miss's victim
-        // selection both read the set's rank/stack (LRU) or RRPV count
-        // (RRIP) slabs — one host line each.
+        // selection both read the set's rank row (LRU) or RRPV count
+        // (RRIP) — one host line each.
         match self.config.replacement {
             ReplacementKind::Lru => {
-                dbi::prefetch_read(self.index.rank[base..].as_ptr());
-                dbi::prefetch_read(self.index.lru_stack[base..].as_ptr());
+                let row = set * rank_stride(self.config.ways);
+                dbi::prefetch_read(self.index.rank[row..].as_ptr());
             }
             ReplacementKind::Rrip => {
                 dbi::prefetch_read(std::ptr::from_ref(&self.index.rrpv_cnt[set]));
@@ -485,14 +537,35 @@ impl Cache {
         }
     }
 
-    /// Recency rank of the valid line at index `i`, from the index: 0 =
+    /// LRU: the rank bytes of `set`, one per way (without the padding).
+    fn rank_row(&mut self, set: usize) -> &mut [u8] {
+        let ways = self.config.ways;
+        &mut self.index.rank[set * rank_stride(ways)..][..ways]
+    }
+
+    /// LRU: the ways of `set` whose rank byte is below `k` (at most 64),
+    /// valid or not — callers mask with the valid or dirty word. One SWAR
+    /// compare per eight ways.
+    fn ranks_below(&self, set: usize, k: usize) -> u64 {
+        let stride = rank_stride(self.config.ways);
+        let row = &self.index.rank[set * stride..][..stride];
+        row.chunks_exact(8)
+            .enumerate()
+            .fold(0, |out, (word, lanes)| {
+                let lanes = u64::from_le_bytes(lanes.try_into().expect("8-byte chunk"));
+                out | lanes_below(lanes, k as u8) << (8 * word)
+            })
+    }
+
+    /// Recency rank of the valid line at `(set, way)`, from the index: 0 =
     /// next victim. O(1) — a byte read under LRU, three adds under RRIP.
-    fn rank_of(&self, i: usize) -> usize {
+    fn rank_of(&self, set: usize, way: usize) -> usize {
+        let ways = self.config.ways;
         match self.config.replacement {
-            ReplacementKind::Lru => usize::from(self.index.rank[i]),
+            ReplacementKind::Lru => usize::from(self.index.rank[set * rank_stride(ways) + way]),
             ReplacementKind::Rrip => {
-                let c = &self.index.rrpv_cnt[i / self.config.ways];
-                c[usize::from(self.rrpv[i]) + 1..]
+                let c = &self.index.rrpv_cnt[set];
+                c[usize::from(self.rrpv[set * ways + way]) + 1..]
                     .iter()
                     .map(|&x| usize::from(x))
                     .sum()
@@ -500,102 +573,88 @@ impl Cache {
         }
     }
 
-    /// The replacement value a snapshot carries for the valid line at `i`
-    /// — its LRU rank, or its RRPV — and that
+    /// The replacement value a snapshot carries for the valid line at
+    /// `(set, way)` — its LRU rank, or its RRPV — and that
     /// [`rebuild_index`](Cache::rebuild_index) restores from.
-    fn meta(&self, i: usize) -> i64 {
+    fn meta(&self, set: usize, way: usize) -> i64 {
         match self.config.replacement {
-            ReplacementKind::Lru => i64::from(self.index.rank[i]),
-            ReplacementKind::Rrip => i64::from(self.rrpv[i]),
+            ReplacementKind::Lru => self.rank_of(set, way) as i64,
+            ReplacementKind::Rrip => i64::from(self.rrpv[set * self.config.ways + way]),
         }
     }
 
-    /// LRU: takes the valid line at `i` out of its set's recency stack of
-    /// `n` lines; every line ranked above it moves one rank down.
-    fn lru_unlink(&mut self, i: usize, n: usize) {
-        let ways = self.config.ways;
-        let base = i / ways * ways;
-        let r = self.index.rank[i];
-        let from = base + usize::from(r);
-        self.index.lru_stack.copy_within(from + 1..base + n, from);
-        for x in &mut self.index.rank[base..base + ways] {
+    /// LRU: takes the valid line at `(set, way)` out of its set's recency
+    /// order; every line ranked above it moves one rank down.
+    fn lru_unlink(&mut self, set: usize, way: usize) {
+        let row = self.rank_row(set);
+        let r = row[way];
+        for x in row {
             *x -= u8::from(*x > r);
         }
     }
 
-    /// Index update: the valid line at `i` leaves its set.
-    fn index_remove(&mut self, i: usize) {
-        let set = i / self.config.ways;
+    /// Index update: the valid line at `(set, way)` leaves its set.
+    fn index_remove(&mut self, set: usize, way: usize) {
         match self.config.replacement {
-            ReplacementKind::Lru => {
-                let n = self.index.valid.word(set).count_ones() as usize;
-                self.lru_unlink(i, n);
-            }
+            ReplacementKind::Lru => self.lru_unlink(set, way),
             ReplacementKind::Rrip => {
-                self.index.rrpv_cnt[set][usize::from(self.rrpv[i])] -= 1;
+                let v = self.rrpv[set * self.config.ways + way];
+                self.index.rrpv_cnt[set][usize::from(v)] -= 1;
             }
         }
-        let bit = self.bit(i);
-        self.index.valid.clear(bit);
-        self.index.dirty.clear(bit);
+        self.index.valid.clear(bit(set, way));
+        self.index.dirty.clear(bit(set, way));
     }
 
-    /// Index update: the free way at `i` now holds a line inserted at `pos`
-    /// (under RRIP its RRPV is already written).
-    fn index_place(&mut self, i: usize, pos: InsertPos, dirty: bool) {
-        let ways = self.config.ways;
-        let (set, way) = (i / ways, i % ways);
+    /// Index update: the free way `(set, way)` now holds a line inserted at
+    /// `pos` (under RRIP its RRPV is already written).
+    fn index_place(&mut self, set: usize, way: usize, pos: InsertPos, dirty: bool) {
         match self.config.replacement {
             ReplacementKind::Lru => {
-                let base = set * ways;
-                let n = self.index.valid.word(set).count_ones() as usize;
+                let n = self.index.valid.word(set).count_ones() as u8;
+                let row = self.rank_row(set);
                 match pos {
                     // Newer than everything resident: top rank.
-                    InsertPos::Mru => {
-                        self.index.rank[i] = n as u8;
-                        self.index.lru_stack[base + n] = way as u8;
-                    }
+                    InsertPos::Mru => row[way] = n,
                     // Older than everything resident: rank 0, rest move up.
                     // Stale ranks of free ways never exceed `n` this way.
                     InsertPos::Lru => {
-                        self.index.lru_stack.copy_within(base..base + n, base + 1);
-                        for x in &mut self.index.rank[base..base + ways] {
-                            *x += u8::from(usize::from(*x) < n);
+                        for x in row.iter_mut() {
+                            *x += u8::from(*x < n);
                         }
-                        self.index.rank[i] = 0;
-                        self.index.lru_stack[base] = way as u8;
+                        row[way] = 0;
                     }
                 }
             }
             ReplacementKind::Rrip => {
-                self.index.rrpv_cnt[set][usize::from(self.rrpv[i])] += 1;
+                let v = self.rrpv[set * self.config.ways + way];
+                self.index.rrpv_cnt[set][usize::from(v)] += 1;
             }
         }
-        self.index.valid.set(self.bit(i));
-        self.index.dirty.assign(self.bit(i), dirty);
+        self.index.valid.set(bit(set, way));
+        self.index.dirty.assign(bit(set, way), dirty);
     }
 
     /// Looks up `block` and, on a hit, promotes it (recency update / RRPV
     /// reset). Returns whether it hit. This is the demand-access path.
     pub fn touch(&mut self, block: BlockAddr) -> bool {
         self.stats.lookups += 1;
-        let Some(i) = self.find(block) else {
+        let Some((set, way)) = self.find(block) else {
             return false;
         };
         self.stats.hits += 1;
-        let ways = self.config.ways;
         match self.config.replacement {
             ReplacementKind::Lru => {
                 // Re-hits on the MRU line change nothing.
-                let n = self.index.valid.word(i / ways).count_ones() as usize;
-                if usize::from(self.index.rank[i]) + 1 < n {
-                    self.lru_unlink(i, n);
-                    self.index.rank[i] = (n - 1) as u8;
-                    self.index.lru_stack[i / ways * ways + n - 1] = (i % ways) as u8;
+                let n = self.index.valid.word(set).count_ones() as u8;
+                if self.rank_row(set)[way] + 1 < n {
+                    self.lru_unlink(set, way);
+                    self.rank_row(set)[way] = n - 1;
                 }
             }
             ReplacementKind::Rrip => {
-                let c = &mut self.index.rrpv_cnt[i / ways];
+                let i = set * self.config.ways + way;
+                let c = &mut self.index.rrpv_cnt[set];
                 c[usize::from(self.rrpv[i])] -= 1;
                 c[0] += 1;
                 self.rrpv[i] = 0;
@@ -613,53 +672,57 @@ impl Cache {
         pos: InsertPos,
         dirty: bool,
     ) -> Option<Victim> {
-        if let Some(i) = self.find(block) {
+        if let Some((set, way)) = self.find(block) {
             // Refill of a resident block: merge dirty state, keep recency.
             if dirty {
-                self.index.dirty.set(self.bit(i));
+                self.index.dirty.set(bit(set, way));
             }
             return None;
         }
+        self.memo.set(None);
         self.stats.insertions += 1;
         let ways = self.config.ways;
         let set = self.set_of(block).index();
         let free = !self.index.valid.word(set) & all_ways(ways);
-        let (slot, victim) = if free != 0 {
-            (set * ways + free.trailing_zeros() as usize, None)
+        let (way, victim) = if free != 0 {
+            (free.trailing_zeros() as usize, None)
         } else {
-            let i = self.victim_way(set);
+            let way = self.victim_way(set);
             let v = Victim {
-                block: self.tags[i],
-                dirty: self.index.dirty.get(self.bit(i)),
-                thread: self.owner[i],
+                block: self.tags[set * ways + way],
+                dirty: self.index.dirty.get(bit(set, way)),
+                thread: self.owner[set * ways + way],
             };
             self.stats.evictions += 1;
             self.stats.dirty_evictions += u64::from(v.dirty);
-            self.index_remove(i);
-            (i, Some(v))
+            self.index_remove(set, way);
+            (way, Some(v))
         };
-        self.tags[slot] = block;
-        self.owner[slot] = thread;
+        let i = set * ways + way;
+        self.tags[i] = block;
+        self.owner[i] = thread;
         if self.config.replacement == ReplacementKind::Rrip {
-            self.rrpv[slot] = match pos {
+            self.rrpv[i] = match pos {
                 InsertPos::Mru => RRPV_LONG,
                 InsertPos::Lru => RRPV_MAX,
             };
         }
-        self.index_place(slot, pos, dirty);
+        self.index_place(set, way, pos, dirty);
         victim
     }
 
     /// The way a full `set` gives up: rank 0 under LRU, the first line at
     /// the distant RRPV under RRIP (aging the set until one is).
     fn victim_way(&mut self, set: usize) -> usize {
-        let base = set * self.config.ways;
         match self.config.replacement {
-            ReplacementKind::Lru => base + usize::from(self.index.lru_stack[base]),
+            ReplacementKind::Lru => {
+                (self.ranks_below(set, 1) & self.index.valid.word(set)).trailing_zeros() as usize
+            }
             ReplacementKind::Rrip => loop {
+                let base = set * self.config.ways;
                 let rrpv = &mut self.rrpv[base..base + self.config.ways];
                 if let Some(way) = rrpv.iter().position(|&v| v >= RRPV_MAX) {
-                    break base + way;
+                    break way;
                 }
                 for v in rrpv {
                     *v += 1;
@@ -675,13 +738,14 @@ impl Cache {
 
     /// Removes `block`, returning its line if it was resident.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<Victim> {
-        let i = self.find(block)?;
+        let (set, way) = self.find(block)?;
+        self.memo.set(None);
         let v = Victim {
             block,
-            dirty: self.index.dirty.get(self.bit(i)),
-            thread: self.owner[i],
+            dirty: self.index.dirty.get(bit(set, way)),
+            thread: self.owner[set * self.config.ways + way],
         };
-        self.index_remove(i);
+        self.index_remove(set, way);
         Some(v)
     }
 
@@ -689,8 +753,8 @@ impl Cache {
     /// mutator. Returns `false` if the block is not resident.
     pub fn mark_dirty(&mut self, block: BlockAddr, dirty: bool) -> bool {
         match self.find(block) {
-            Some(i) => {
-                self.index.dirty.assign(self.bit(i), dirty);
+            Some((set, way)) => {
+                self.index.dirty.assign(bit(set, way), dirty);
                 true
             }
             None => false,
@@ -708,7 +772,8 @@ impl Cache {
     /// Thread that inserted `block`; `None` if not resident.
     #[must_use]
     pub fn owner(&self, block: BlockAddr) -> Option<ThreadId> {
-        self.find(block).map(|i| self.owner[i])
+        self.find(block)
+            .map(|(set, way)| self.owner[set * self.config.ways + way])
     }
 
     /// Iterates over all resident blocks as `(block, dirty, thread)`, in
@@ -743,11 +808,12 @@ impl Cache {
     }
 
     /// Rebuilds the replacement order from per-way snapshot values `meta`
-    /// (read only at valid ways): under LRU a line's rank is the number of
-    /// valid lines in its set with a smaller value, so any order-preserving
-    /// relabelling — old timestamps or ranks — rebuilds the same index.
-    /// Values no writer could have produced (duplicates under LRU,
-    /// out-of-range RRPVs) are rejected as corruption.
+    /// (indexed like `tags`, read only at valid ways): under LRU a line's
+    /// rank is the number of valid lines in its set with a smaller value,
+    /// so any order-preserving relabelling — old timestamps or ranks —
+    /// rebuilds the same index. Values no writer could have produced
+    /// (duplicates under LRU, out-of-range RRPVs) are rejected as
+    /// corruption.
     fn rebuild_index(&mut self, meta: &[i64]) -> Result<(), dbi::snap::SnapError> {
         use dbi::snap::SnapError;
         let ways = self.config.ways;
@@ -767,8 +833,7 @@ impl Cache {
                             )));
                         }
                         seen |= 1 << r;
-                        self.index.rank[base + way] = r as u8;
-                        self.index.lru_stack[base + r] = way as u8;
+                        self.rank_row(set)[way] = r as u8;
                     }
                 }
                 ReplacementKind::Rrip => {
@@ -795,19 +860,24 @@ impl Cache {
     }
 
     /// Test support: checks the index's internal invariants and panics on
-    /// any violation — no dirty bit on an invalid way, and a replacement
-    /// order that a rebuild from this cache's own snapshot values
-    /// reproduces exactly (LRU ranks a permutation of the valid lines with
-    /// `lru_stack` its inverse; RRPV counts matching the RRPVs).
+    /// any violation — no dirty bit on an invalid way; a replacement order
+    /// that a rebuild from this cache's own snapshot values reproduces
+    /// exactly (LRU ranks a permutation of the valid lines, RRPV counts
+    /// matching the RRPVs); every rank byte, valid or stale, below the
+    /// 0x80 the word-parallel compares need; and a memo, when set, that
+    /// agrees with a fresh walk.
     #[doc(hidden)]
     pub fn assert_index_coherent(&self) {
-        let meta: Vec<i64> = (0..self.tags.len()).map(|i| self.meta(i)).collect();
+        let ways = self.config.ways;
+        let sets = self.config.sets() as usize;
+        let meta: Vec<i64> = (0..sets)
+            .flat_map(|set| (0..ways).map(move |way| self.meta(set, way)))
+            .collect();
         let mut reference = self.clone();
         reference
             .rebuild_index(&meta)
             .expect("live replacement state always rebuilds");
-        let ways = self.config.ways;
-        for set in 0..self.config.sets() as usize {
+        for set in 0..sets {
             let valid = self.index.valid.word(set);
             assert_eq!(
                 self.index.dirty.word(set) & !valid,
@@ -822,26 +892,30 @@ impl Cache {
             if self.config.replacement == ReplacementKind::Lru {
                 for way in WayIter(valid) {
                     assert_eq!(
-                        reference.index.rank[set * ways + way],
-                        self.index.rank[set * ways + way],
+                        reference.rank_of(set, way),
+                        self.rank_of(set, way),
                         "rank of set {set} way {way} is not a permutation"
                     );
                 }
-                // Only the first `nvalid` stack slots are meaningful;
-                // slots above hold leftovers from removals.
-                for r in 0..valid.count_ones() as usize {
-                    assert_eq!(
-                        reference.index.lru_stack[set * ways + r],
-                        self.index.lru_stack[set * ways + r],
-                        "stack slot {r} of set {set} is not the inverse of the ranks"
-                    );
-                }
             }
+        }
+        if let Some(at) = self.index.rank.iter().position(|&r| r >= 0x80) {
+            panic!(
+                "rank byte {at} is {:#x}, outside the word-parallel compare's range",
+                self.index.rank[at]
+            );
         }
         assert_eq!(
             reference.index.rrpv_cnt, self.index.rrpv_cnt,
             "RRPV counts diverged from the RRPVs"
         );
+        if let Some((block, way)) = self.memo.get() {
+            assert_eq!(
+                self.walk(self.set_of(block).index(), block),
+                way,
+                "lookup memo for block {block} disagrees with a fresh walk"
+            );
+        }
     }
 }
 
@@ -860,8 +934,8 @@ impl<'a> DirtyView<'a> {
     /// Tag-store dirty bit of `block`; `None` if not resident.
     #[must_use]
     pub fn is_dirty(&self, block: BlockAddr) -> Option<bool> {
-        let i = self.cache.find(block)?;
-        Some(self.cache.index.dirty.get(self.cache.bit(i)))
+        let (set, way) = self.cache.find(block)?;
+        Some(self.cache.index.dirty.get(bit(set, way)))
     }
 
     /// Dirty bit, owning thread, and recency rank of `block` from a single
@@ -869,11 +943,11 @@ impl<'a> DirtyView<'a> {
     /// (DAWB unconditionally, VWQ rank-filtered) make per candidate block.
     #[must_use]
     pub fn probe(&self, block: BlockAddr) -> Option<ProbedLine> {
-        let i = self.cache.find(block)?;
+        let (set, way) = self.cache.find(block)?;
         Some(ProbedLine {
-            dirty: self.cache.index.dirty.get(self.cache.bit(i)),
-            owner: self.cache.owner[i],
-            rank: self.cache.rank_of(i),
+            dirty: self.cache.index.dirty.get(bit(set, way)),
+            owner: self.cache.owner[set * self.cache.config.ways + way],
+            rank: self.cache.rank_of(set, way),
         })
     }
 
@@ -939,29 +1013,23 @@ impl<'a> DirtyView<'a> {
     /// Panics if `set` is out of range.
     #[must_use]
     pub fn in_lru_ways(&self, set: SetIdx, ways_from_lru: usize) -> WayMask {
-        let dirty = self.cache.index.dirty.word(set.index());
+        let set = set.index();
+        let dirty = self.cache.index.dirty.word(set);
         if dirty == 0 {
             return WayMask::EMPTY;
         }
-        let base = set.index() * self.cache.config.ways;
         match self.cache.config.replacement {
-            ReplacementKind::Lru => {
-                // Walk the bottom of the recency stack instead of rank-
-                // checking every dirty way: `ways_from_lru` byte reads.
-                let n = self.cache.index.valid.word(set.index()).count_ones() as usize;
-                if ways_from_lru >= n {
-                    return WayMask(dirty);
-                }
-                let mut out = 0u64;
-                for r in 0..ways_from_lru {
-                    out |= dirty & (1u64 << self.cache.index.lru_stack[base + r]);
-                }
-                WayMask(out)
-            }
+            // Every rank is below `ways`, so larger `k`s ask the same.
+            ReplacementKind::Lru => WayMask(
+                dirty
+                    & self
+                        .cache
+                        .ranks_below(set, ways_from_lru.min(self.cache.config.ways)),
+            ),
             ReplacementKind::Rrip => {
                 let mut out = 0u64;
                 for way in WayIter(dirty) {
-                    if self.cache.rank_of(base + way) < ways_from_lru {
+                    if self.cache.rank_of(set, way) < ways_from_lru {
                         out |= 1 << way;
                     }
                 }
@@ -1026,14 +1094,17 @@ impl dbi::snap::Snapshot for Cache {
     fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
         w.u8(self.config.replacement.snap_code());
         w.usize(self.tags.len());
-        for i in 0..self.tags.len() {
-            let valid = self.index.valid.get(self.bit(i));
-            w.bool(valid);
-            if valid {
-                w.u64(self.tags[i]);
-                w.bool(self.index.dirty.get(self.bit(i)));
-                w.u8(self.owner[i]);
-                w.i64(self.meta(i));
+        let ways = self.config.ways;
+        for set in 0..self.config.sets() as usize {
+            for way in 0..ways {
+                let valid = self.index.valid.get(bit(set, way));
+                w.bool(valid);
+                if valid {
+                    w.u64(self.tags[set * ways + way]);
+                    w.bool(self.index.dirty.get(bit(set, way)));
+                    w.u8(self.owner[set * ways + way]);
+                    w.i64(self.meta(set, way));
+                }
             }
         }
         // Two retired LRU clock words, kept so the byte layout is unchanged.
@@ -1053,23 +1124,27 @@ impl dbi::snap::Snapshot for Cache {
             });
         }
         r.expect_len("cache lines", self.tags.len())?;
+        self.memo.set(None);
+        let ways = self.config.ways;
         let mut meta = vec![0i64; self.tags.len()];
         self.index.valid.clear_all();
         self.index.dirty.clear_all();
-        for (i, meta) in meta.iter_mut().enumerate() {
-            if r.bool()? {
-                let block = r.u64()?;
-                // A valid line must sit in the set its block maps to.
-                if self.set_of(block).index() != i / self.config.ways {
-                    return Err(SnapError::Corrupt(format!(
-                        "cache line for block {block} restored into wrong set"
-                    )));
+        for set in 0..self.config.sets() as usize {
+            for way in 0..ways {
+                if r.bool()? {
+                    let block = r.u64()?;
+                    // A valid line must sit in the set its block maps to.
+                    if self.set_of(block).index() != set {
+                        return Err(SnapError::Corrupt(format!(
+                            "cache line for block {block} restored into wrong set"
+                        )));
+                    }
+                    self.tags[set * ways + way] = block;
+                    self.index.valid.set(bit(set, way));
+                    self.index.dirty.assign(bit(set, way), r.bool()?);
+                    self.owner[set * ways + way] = r.u8()?;
+                    meta[set * ways + way] = r.i64()?;
                 }
-                self.tags[i] = block;
-                self.index.valid.set(self.bit(i));
-                self.index.dirty.assign(self.bit(i), r.bool()?);
-                self.owner[i] = r.u8()?;
-                *meta = r.i64()?;
             }
         }
         // The retired LRU clock words: older snapshots carry timestamps.
@@ -1298,6 +1373,29 @@ mod tests {
         );
         assert_eq!(c.dirty().mask(c.set_of(0)).count(), 3);
         c.assert_index_coherent();
+    }
+
+    #[test]
+    fn lanes_below_matches_scalar_compare() {
+        // Each lane in turn takes every byte value a rank byte may hold,
+        // against every `k` a query can ask; the other lanes vary too.
+        for lane in 0..8 {
+            for v in 0..=0x7fu8 {
+                let mut bytes = [0u8; 8];
+                for (l, b) in bytes.iter_mut().enumerate() {
+                    *b = ((usize::from(v) * 7 + l * 29) % 0x80) as u8;
+                }
+                bytes[lane] = v;
+                let word = u64::from_le_bytes(bytes);
+                for k in 0..=64u8 {
+                    let want = bytes
+                        .iter()
+                        .enumerate()
+                        .fold(0u64, |m, (l, &b)| m | u64::from(b < k) << l);
+                    assert_eq!(lanes_below(word, k), want, "lane {lane} value {v:#x} k {k}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -72,11 +72,21 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// `(sets, ways)`: small sets that collide often, 32- and 64-way sets, and
-/// set counts that are not powers of two (the cache divides instead of
-/// masking).
+/// `(sets, ways)`: small sets that collide often, 32- and 64-way sets, set
+/// counts that are not powers of two (the cache divides instead of
+/// masking), the L1's 256 x 2, and way counts that are not a multiple of 8
+/// (rank rows carry padding past the last way).
 fn geometry() -> impl Strategy<Value = (usize, usize)> {
-    prop::sample::select(vec![(8, 4), (4, 4), (4, 32), (2, 64), (3, 8), (6, 16)])
+    prop::sample::select(vec![
+        (8, 4),
+        (4, 4),
+        (4, 32),
+        (2, 64),
+        (3, 8),
+        (6, 16),
+        (256, 2),
+        (3, 12),
+    ])
 }
 
 fn cache_for((sets, ways): (usize, usize), kind: ReplacementKind) -> Cache {
@@ -378,16 +388,21 @@ proptest! {
         for op in ops {
             apply(&mut cache, op.within(space(geometry)));
             cache.assert_index_coherent();
-            for set in 0..sets as u64 {
+            // Every dirty resident block with its probed rank, by set.
+            let mut dirty_ranks = vec![Vec::new(); sets];
+            for (b, d, _) in cache.blocks() {
+                if d {
+                    let rank = cache.dirty().probe(b).expect("resident").rank;
+                    dirty_ranks[cache.set_of(b).index()].push((b, rank));
+                }
+            }
+            for (set, dirty_ranks) in dirty_ranks.iter().enumerate() {
                 for k in ranks_to_check(ways) {
-                    let via_mask = harvest(&cache, SetIdx(set), k);
-                    let mut via_probe: Vec<u64> = cache
-                        .blocks()
-                        .filter(|&(b, d, _)| {
-                            d && cache.set_of(b) == SetIdx(set)
-                                && cache.dirty().probe(b).expect("resident").rank < k
-                        })
-                        .map(|(b, _, _)| b)
+                    let via_mask = harvest(&cache, SetIdx(set as u64), k);
+                    let mut via_probe: Vec<u64> = dirty_ranks
+                        .iter()
+                        .filter(|&&(_, rank)| rank < k)
+                        .map(|&(b, _)| b)
                         .collect();
                     via_probe.sort_unstable();
                     prop_assert_eq!(via_mask, via_probe, "set {} k {}", set, k);
