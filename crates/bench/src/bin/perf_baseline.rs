@@ -17,23 +17,13 @@
 //! and the gate compares the median of the per-trial ratios; the JSON
 //! records their min, median and max, the median per-trial headline, and
 //! lists the trial whose ratio is the median.
-//!
-//! The baseline also carries a **batch dimension**: the same fixed
-//! workload run over N seeds once sequentially (N scalar sessions) and
-//! once as a lockstep [`SimSession::batch_seeds`] batch, with the
-//! throughput ratio recorded as `batch_lockstep_speedup`. Pass
-//! `--seeds N --batch-seeds N` to override the default width of 4. On a
-//! single hardware thread lockstep rotation buys locality, not
-//! parallelism, so parity (ratio ≈ 1.0) is the realistic ceiling — the
-//! number is tracked to catch *regressions* in the rotation overhead,
-//! not to celebrate a speedup.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use dbi_bench::{BenchArgs, Effort};
-use system_sim::{run_mix, Mechanism, MixResult, SimSession, SystemConfig};
+use system_sim::{run_mix, Mechanism, MixResult, SystemConfig};
 use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
 
@@ -152,54 +142,6 @@ fn json_for(name: &str, cores: usize, benchmarks: &[Benchmark], runs: &[Measurem
         total_records as f64 / total_wall,
     ));
     out
-}
-
-/// The batch dimension: `width` seeds of the same fixed workload, first
-/// as `width` sequential scalar sessions, then as one lockstep batch.
-/// Returns `(scalar, lockstep)` throughput in records/second, asserting
-/// per-seed bit-identity between the two along the way.
-fn measure_batch(
-    mix: &WorkloadMix,
-    mechanism: Mechanism,
-    effort: Effort,
-    width: u64,
-) -> (f64, f64) {
-    let mut config = SystemConfig::for_cores(1, mechanism);
-    config.warmup_insts = effort.warmup_insts();
-    config.measure_insts = effort.measure_insts();
-    let seeds: Vec<u64> = (1..=width).collect();
-
-    let start = Instant::now();
-    let scalar: Vec<MixResult> = seeds
-        .iter()
-        .map(|&seed| {
-            let mut c = config.clone();
-            c.seed = seed;
-            SimSession::new(mix, &c)
-                .run()
-                .expect("cold scalar run cannot fail")
-                .into_single()
-        })
-        .collect();
-    let scalar_wall = start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    let batch = SimSession::new(mix, &config)
-        .batch_seeds(&seeds)
-        .run()
-        .expect("cold batch run cannot fail")
-        .into_results();
-    let batch_wall = start.elapsed().as_secs_f64();
-
-    for (s, b) in scalar.iter().zip(&batch) {
-        assert_eq!(
-            s.digest(),
-            b.digest(),
-            "lockstep batch diverged from scalar"
-        );
-    }
-    let records: u64 = scalar.iter().map(|r| r.records_processed).sum();
-    (records as f64 / scalar_wall, records as f64 / batch_wall)
 }
 
 /// Runs of the quad-core section; the VWQ gate and the headline take the
@@ -323,30 +265,10 @@ fn main() {
         ),
     ];
 
-    let batch_width = if args.batch_seeds > 1 {
-        args.batch_seeds
-    } else {
-        4
-    };
-    eprintln!("batch_lockstep (width {batch_width}, dbi-awb-clb, lbm)...");
-    let (scalar_rps, batch_rps) = measure_batch(
-        &single,
-        Mechanism::Dbi {
-            awb: true,
-            clb: true,
-        },
-        effort,
-        batch_width,
-    );
-    let batch_speedup = batch_rps / scalar_rps;
-    eprintln!(
-        "  scalar {scalar_rps:>10.0} rec/s  lockstep {batch_rps:>10.0} rec/s  ratio {batch_speedup:.3}"
-    );
-
     // Throughput depends on the host; the record names its core count.
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let json = format!(
-        "{{\n  \"schema\": \"dbi-hotpath-perf/v1\",\n  \"effort\": \"{}\",\n  \"build\": \"{}\",\n  \"cpus\": {cpus},\n  \"warmup_insts_per_core\": {},\n  \"measure_insts_per_core\": {},\n  \"headline_quad_core_records_per_sec\": {:.0},\n  \"quad_core_trials\": {QUAD_TRIALS},\n  \"quad_core_vwq_wall_ratio\": {:.3},\n  \"quad_core_vwq_wall_ratio_min\": {:.3},\n  \"quad_core_vwq_wall_ratio_max\": {:.3},\n  \"batch_seeds\": {},\n  \"batch_scalar_records_per_sec\": {:.0},\n  \"batch_lockstep_records_per_sec\": {:.0},\n  \"batch_lockstep_speedup\": {:.3},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"dbi-hotpath-perf/v1\",\n  \"effort\": \"{}\",\n  \"build\": \"{}\",\n  \"cpus\": {cpus},\n  \"warmup_insts_per_core\": {},\n  \"measure_insts_per_core\": {},\n  \"headline_quad_core_records_per_sec\": {:.0},\n  \"quad_core_trials\": {QUAD_TRIALS},\n  \"quad_core_vwq_wall_ratio\": {:.3},\n  \"quad_core_vwq_wall_ratio_min\": {:.3},\n  \"quad_core_vwq_wall_ratio_max\": {:.3},\n  \"workloads\": [\n{}\n  ]\n}}\n",
         if effort == Effort::Full { "full" } else { "quick" },
         if cfg!(debug_assertions) { "debug" } else { "release" },
         effort.warmup_insts(),
@@ -355,10 +277,6 @@ fn main() {
         vwq_ratio,
         vwq_ratio_min,
         vwq_ratio_max,
-        batch_width,
-        scalar_rps,
-        batch_rps,
-        batch_speedup,
         sections.join(",\n"),
     );
 
@@ -371,7 +289,6 @@ fn main() {
     }
     println!("headline_quad_core_records_per_sec {headline:.0}");
     println!("quad_core_vwq_wall_ratio {vwq_ratio:.3}");
-    println!("batch_lockstep_speedup {batch_speedup:.3}");
     if let Some(max) = max_vwq_ratio {
         if vwq_ratio > max {
             eprintln!(

@@ -499,12 +499,13 @@ fn check_runs_bypass_the_store() {
 }
 
 #[test]
-fn batched_work_list_is_bit_identical_to_scalar_and_warms_the_store() {
+fn threaded_work_list_is_bit_identical_to_one_job_and_warms_the_store() {
     // The same six-unit work list — one configuration over six seeds —
-    // scheduled scalar and as lockstep batches must produce bit-identical
-    // results and identical store contents.
-    let seeds = 1u64..=6;
-    let units: Vec<RunUnit> = seeds
+    // drained by one worker and by four must produce bit-identical results
+    // and identical store contents. An explicit job count takes the
+    // threaded path on any host, whatever its core count. The short
+    // record cadence makes every unit write checkpoints from its worker.
+    let units: Vec<RunUnit> = (1u64..=6)
         .map(|s| {
             let mut config = tiny_config(Mechanism::Dbi {
                 awb: true,
@@ -514,71 +515,47 @@ fn batched_work_list_is_bit_identical_to_scalar_and_warms_the_store() {
             RunUnit::alone(Benchmark::Lbm, config)
         })
         .collect();
+    let run = |scratch: &Scratch, jobs: usize| {
+        let args = BenchArgs {
+            jobs: Some(jobs),
+            ..scratch.args()
+        };
+        let runner = Runner::new(&format!("test-jobs-{jobs}"), &args).with_checkpoint_every(5_000);
+        let results = runner.run_units("phase", &units);
+        (results, runner.sims(), runner.hits())
+    };
 
-    let scalar_scratch = Scratch::new("batch-scalar");
-    let scalar = Runner::new("test-batch-scalar", &scalar_scratch.args());
-    let scalar_results = scalar.run_units("phase", &units);
-    assert_eq!(scalar.sims(), 6);
+    let one_scratch = Scratch::new("jobs-1");
+    let (one, sims, hits) = run(&one_scratch, 1);
+    assert_eq!((sims, hits), (6, 0));
 
-    let batch_scratch = Scratch::new("batch-wide");
-    let batched = Runner::new("test-batch", &batch_scratch.args()).with_batch_seeds(4);
-    let batch_results = batched.run_units("phase", &units);
-    // 6 units at width 4 → one full batch of 4 and one remainder of 2,
-    // all simulated, none served from the (cold) store.
-    assert_eq!((batched.sims(), batched.hits()), (6, 0));
-    for (s, b) in scalar_results.iter().zip(&batch_results) {
+    let four_scratch = Scratch::new("jobs-4");
+    let (four, sims, hits) = run(&four_scratch, 4);
+    assert_eq!((sims, hits), (6, 0));
+    for (a, b) in one.iter().zip(&four) {
         assert_eq!(
-            s.digest(),
+            a.digest(),
             b.digest(),
-            "batched result must be bit-identical"
+            "threaded result must be bit-identical"
         );
     }
 
-    // Every lane landed in the store under its own per-seed unit key, so
-    // a warm rerun — scalar or batched — performs zero simulations.
-    let warm = Runner::new("test-batch-warm", &batch_scratch.args()).with_batch_seeds(4);
-    let warm_results = warm.run_units("phase", &units);
-    assert_eq!((warm.sims(), warm.hits()), (0, 6));
-    for (w, b) in warm_results.iter().zip(&batch_results) {
+    // Every unit landed in the store under its own key, so a warm rerun
+    // performs zero simulations and replays the same results.
+    let (warm, sims, hits) = run(&four_scratch, 4);
+    assert_eq!((sims, hits), (0, 6));
+    for (w, b) in warm.iter().zip(&four) {
         assert_eq!(
             w.digest(),
             b.digest(),
             "stored result must replay bit-identically"
         );
     }
-    // No batch checkpoint (or lease) survives a completed run.
-    let store = ResultStore::open(batch_scratch.0.clone());
+    // No checkpoint (or lease) survives a completed run.
+    let store = ResultStore::open(four_scratch.0.clone());
     for unit in &units {
         let key = unit_key(&unit.config, unit.mix.benchmarks());
         assert!(!store.checkpoint_path(&key).exists());
+        assert!(!store.lease_path(&key).exists());
     }
-}
-
-#[test]
-fn batching_groups_only_seed_variants_and_leaves_singletons_scalar() {
-    // Two mechanisms × two seeds plus one odd-config singleton: batches
-    // must form only within a mechanism's seed group.
-    let mut units = Vec::new();
-    for mechanism in [Mechanism::Baseline, Mechanism::Vwq] {
-        for seed in [7u64, 11] {
-            let mut config = tiny_config(mechanism);
-            config.seed = seed;
-            units.push(RunUnit::alone(Benchmark::Mcf, config));
-        }
-    }
-    let mut odd = tiny_config(Mechanism::Baseline);
-    odd.seed = 7;
-    odd.llc_bytes_per_core *= 2;
-    units.push(RunUnit::alone(Benchmark::Mcf, odd));
-
-    let scratch = Scratch::new("batch-groups");
-    let runner = Runner::new("test-batch-groups", &scratch.args()).with_batch_seeds(8);
-    let results = runner.run_units("phase", &units);
-    assert_eq!((runner.sims(), runner.hits()), (5, 0));
-    assert_eq!(results.len(), 5);
-
-    // The seed-masked grouping is visible in the results: same mechanism,
-    // different seeds → different digests (distinct simulations ran).
-    assert_ne!(results[0].digest(), results[1].digest());
-    assert_ne!(results[2].digest(), results[3].digest());
 }

@@ -327,7 +327,7 @@ mod tests {
     #[test]
     fn random_walk_stays_consistent_under_split() {
         // Drive a long pseudo-random event sequence through both
-        // representations in lockstep.
+        // representations side by side.
         let mut full = MoesiState::Invalid;
         let mut split = MoesiState::Invalid.split();
         let mut x = 0x1234_5678u64;

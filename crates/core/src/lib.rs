@@ -55,7 +55,7 @@ mod subblock;
 
 pub use crate::config::{Alpha, DbiConfig, DbiConfigError};
 pub use crate::container::{
-    prefetch_read, ContainerPolicy, DirtyContainer, DirtyWords, Ones, ReprKind, WordOnes, MAX_BITS,
+    ContainerPolicy, DirtyContainer, DirtyWords, Ones, ReprKind, WordOnes, MAX_BITS,
 };
 pub use crate::dbi::{Dbi, EvictedRow, MarkOutcome};
 pub use crate::dirty_store::{DirtyStore, ReprCensus};

@@ -249,14 +249,11 @@ impl Sanitizer {
                     });
                 }
                 // Under a DBI the tag store must be entirely clean, so the
-                // common case is every dirty word zero: sweep them with the
-                // bulk mask query and only walk the tags when a word says
-                // some set actually holds a dirty bit.
+                // common case is every dirty word zero: sweep the per-set
+                // masks and only walk the tags when a word says some set
+                // actually holds a dirty bit.
                 let view = cache.dirty();
-                let sets: Vec<SetIdx> = (0..cache.config().sets()).map(SetIdx).collect();
-                let mut words = vec![0u64; sets.len()];
-                view.mask_words(&sets, &mut words);
-                if words.iter().any(|&w| w != 0) {
+                if (0..cache.config().sets()).any(|set| !view.mask(SetIdx(set)).is_empty()) {
                     for (block, tag_dirty, _) in cache.blocks() {
                         if tag_dirty {
                             self.record(InvariantKind::DirtyCoherence, block, || {
@@ -266,10 +263,8 @@ impl Sanitizer {
                     }
                 }
                 let dirty_list: Vec<u64> = dbi.dirty_blocks().collect();
-                let mut probes = vec![None; dirty_list.len()];
-                view.probe_many(&dirty_list, &mut probes);
-                for (&block, probe) in dirty_list.iter().zip(&probes) {
-                    if probe.is_none() {
+                for &block in &dirty_list {
+                    if view.probe(block).is_none() {
                         self.record(InvariantKind::DirtyCoherence, block, || {
                             "DBI-dirty block is not resident in the cache".to_string()
                         });

@@ -33,7 +33,6 @@
 //! assert_eq!(baseline.cores[0].insts, dbi.cores[0].insts);
 //! ```
 
-mod batch;
 mod checker;
 mod config;
 mod core;
@@ -45,7 +44,6 @@ pub mod metrics;
 mod session;
 mod system;
 
-pub use crate::batch::SeedBatch;
 pub use crate::checker::{LostWrite, VersionChecker};
 pub use crate::config::{DbiParams, Latencies, Mechanism, SystemConfig};
 pub use crate::dramcache::{GbCacheConfig, GbCacheStats, GbDirtyView, GbDramCache};
@@ -53,7 +51,5 @@ pub use crate::faults::{splitmix64, FaultClass, FaultInjector, FaultPlan, FaultR
 pub use crate::invariants::{InvariantKind, InvariantViolation, Sanitizer, SanitizerReport};
 pub use crate::llc::{LlcStats, ReadOutcome, SharedLlc};
 pub use crate::metrics::CoreResult;
-pub use crate::session::{
-    CheckpointCadence, CheckpointSink, RunOptions, SessionOutcome, SimSession,
-};
+pub use crate::session::{CheckpointCadence, SessionOutcome, SimSession};
 pub use crate::system::{run_alone, run_mix, MixResult, System};

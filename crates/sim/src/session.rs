@@ -1,16 +1,16 @@
-//! The typed run API: one entry point for scalar and batch simulation.
+//! The typed run API: one entry point for checkpointed, resumable
+//! simulation.
 //!
-//! [`SimSession`] replaces the old positional
-//! `System::run_resumable(resume, cadence, &mut sink)` surface with a
-//! builder over [`RunOptions`]: resume bytes, checkpoint cadence and sink,
-//! sanitizer and fault-injector overrides, and the batch width all live in
-//! one struct, and scalar execution is simply a batch of width one. Every
-//! run — `run_mix`, the bench runner, checkpoint tests — goes through the
-//! same [`crate::batch::SeedBatch`] drive loop, so there is exactly one
-//! code path to prove bit-identical and crash-safe.
+//! [`SimSession`] is a builder over resume bytes, checkpoint cadence and
+//! checkpoint sink (sanitizer and fault injection stay on
+//! [`SystemConfig`]). Every resumable run — the bench runner,
+//! `verify_snapshots`, the checkpoint tests — goes through the same
+//! [`SimSession::run`] loop, so there is exactly one code path to prove
+//! bit-identical and crash-safe. Parallelism lives a level up: the bench
+//! runner spreads independent sessions over `--jobs` worker threads.
 //!
 //! ```
-//! use system_sim::{Mechanism, SessionOutcome, SimSession, SystemConfig};
+//! use system_sim::{run_mix, CheckpointCadence, Mechanism, SessionOutcome, SimSession, SystemConfig};
 //! use trace_gen::mix::WorkloadMix;
 //! use trace_gen::Benchmark;
 //!
@@ -19,33 +19,35 @@
 //! config.warmup_insts = 10_000;
 //! config.measure_insts = 20_000;
 //!
-//! // Scalar and batch share the entry point; each seed's result is
-//! // bit-identical to running it alone.
-//! let alone = SimSession::new(&mix, &config).run().unwrap().into_results();
-//! let batch = SimSession::new(&mix, &config)
-//!     .batch_seeds(&[config.seed, 99])
+//! // Suspend at the first checkpoint, then resume from it: the result is
+//! // bit-identical to a straight-through run.
+//! let mut saved = Vec::new();
+//! let mut sink = |bytes: &[u8]| {
+//!     saved = bytes.to_vec();
+//!     false
+//! };
+//! let outcome = SimSession::new(&mix, &config)
+//!     .cadence(CheckpointCadence::EveryRecords(500))
+//!     .sink(&mut sink)
 //!     .run()
-//!     .unwrap()
-//!     .into_results();
-//! assert_eq!(alone[0].digest(), batch[0].digest());
+//!     .unwrap();
+//! assert!(matches!(outcome, SessionOutcome::Suspended));
+//! let resumed = SimSession::new(&mix, &config).resume(&saved).run().unwrap();
+//! assert_eq!(resumed.into_result().digest(), run_mix(&mix, &config).digest());
 //! ```
 
 use dbi::snap::SnapError;
 use trace_gen::mix::WorkloadMix;
 
-use crate::batch::SeedBatch;
 use crate::config::SystemConfig;
-use crate::faults::FaultPlan;
-use crate::system::MixResult;
+use crate::system::{MixResult, RunState, System};
 
 /// When a resumable run serializes its state and offers it to the sink.
 ///
 /// Checkpoint *placement* may depend on wall-clock time, but checkpoint
 /// *content* never does: a snapshot taken at any step boundary restores
 /// bit-identically, so cadence only trades re-execution loss against
-/// serialization overhead. Under a batch, cadence counts micro-steps
-/// across all lanes and checkpoints land on lane-rotation boundaries; for
-/// a width-1 batch the placement is exactly the scalar placement.
+/// serialization overhead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CheckpointCadence {
     /// Never checkpoint.
@@ -71,120 +73,75 @@ pub enum CheckpointCadence {
 /// How a session ended.
 #[derive(Debug)]
 pub enum SessionOutcome {
-    /// Every seed finished; results are in `batch_seeds` order (a single
-    /// element for scalar runs).
-    Finished(Vec<MixResult>),
+    /// The run finished (boxed: `MixResult` is large).
+    Finished(Box<MixResult>),
     /// The checkpoint sink asked to stop; the last checkpoint it accepted
     /// is the point to resume from.
     Suspended,
 }
 
 impl SessionOutcome {
-    /// The finished results.
+    /// The finished result.
     ///
     /// # Panics
     ///
     /// Panics if the session was suspended.
     #[must_use]
-    pub fn into_results(self) -> Vec<MixResult> {
+    pub fn into_result(self) -> MixResult {
         match self {
-            SessionOutcome::Finished(results) => results,
+            SessionOutcome::Finished(result) => *result,
             SessionOutcome::Suspended => panic!("session was suspended, not finished"),
         }
-    }
-
-    /// The single result of a scalar (width-1) session.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session was suspended or ran more than one seed.
-    #[must_use]
-    pub fn into_single(self) -> MixResult {
-        let mut results = self.into_results();
-        assert_eq!(results.len(), 1, "session ran {} seeds", results.len());
-        results.pop().expect("one result")
     }
 }
 
 /// A checkpoint sink: receives each serialized snapshot, `false` suspends.
-pub type CheckpointSink<'a> = &'a mut dyn FnMut(&[u8]) -> bool;
+type Sink<'a> = &'a mut dyn FnMut(&[u8]) -> bool;
 
-/// Everything a run can be configured with, in one typed struct.
+/// A configured run of one `(mix, config)`.
 ///
-/// All fields default to "off": no resume, no checkpointing, config-level
-/// sanitizer/fault settings, scalar width. [`SimSession`]'s builder methods
-/// set individual fields; construct a `RunOptions` directly when a caller
-/// wants to thread options through as a value.
-#[derive(Default)]
-pub struct RunOptions<'a> {
+/// Borrowing builder: `SimSession::new(&mix, &config).cadence(..).run()`.
+/// Every option defaults to "off": no resume and no checkpointing.
+pub struct SimSession<'a> {
+    mix: &'a WorkloadMix,
+    config: &'a SystemConfig,
     /// Snapshot bytes from a previous suspension to resume from.
-    pub resume: Option<&'a [u8]>,
-    /// When to offer checkpoints to the sink.
-    pub cadence: CheckpointCadence,
-    /// Receives each serialized checkpoint; returning `false` suspends the
-    /// run. `None` accepts (and discards) every checkpoint.
-    pub sink: Option<CheckpointSink<'a>>,
-    /// Overrides [`SystemConfig::sanitize`] when set.
-    pub sanitize: Option<bool>,
-    /// Overrides [`SystemConfig::fault`] when set.
-    pub fault: Option<FaultPlan>,
-    /// Seeds to run in lockstep, one lane per seed. `None` (or one seed)
-    /// is the scalar path; `config.seed` is ignored when set.
-    pub batch_seeds: Option<&'a [u64]>,
+    resume: Option<&'a [u8]>,
+    cadence: CheckpointCadence,
+    /// Receives each serialized checkpoint; `false` suspends the run.
+    /// `None` accepts (and discards) every checkpoint.
+    sink: Option<Sink<'a>>,
 }
 
-impl std::fmt::Debug for RunOptions<'_> {
+impl std::fmt::Debug for SimSession<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunOptions")
+        f.debug_struct("SimSession")
+            .field("mix", self.mix)
+            .field("config", self.config)
             .field("resume", &self.resume.map(<[u8]>::len))
             .field("cadence", &self.cadence)
             .field("sink", &self.sink.is_some())
-            .field("sanitize", &self.sanitize)
-            .field("fault", &self.fault)
-            .field("batch_seeds", &self.batch_seeds)
             .finish()
     }
 }
 
-/// A configured run of one `(mix, config)` over one or more seeds.
-///
-/// Borrowing builder: `SimSession::new(&mix, &config).cadence(..).run()`.
-#[derive(Debug)]
-pub struct SimSession<'a> {
-    mix: &'a WorkloadMix,
-    config: &'a SystemConfig,
-    options: RunOptions<'a>,
-}
-
 impl<'a> SimSession<'a> {
-    /// Starts a session with default options (scalar, no checkpointing).
+    /// Starts a session with default options (no resume, no checkpoints).
     #[must_use]
     pub fn new(mix: &'a WorkloadMix, config: &'a SystemConfig) -> SimSession<'a> {
         SimSession {
             mix,
             config,
-            options: RunOptions::default(),
-        }
-    }
-
-    /// Starts a session from pre-built options.
-    #[must_use]
-    pub fn with_options(
-        mix: &'a WorkloadMix,
-        config: &'a SystemConfig,
-        options: RunOptions<'a>,
-    ) -> SimSession<'a> {
-        SimSession {
-            mix,
-            config,
-            options,
+            resume: None,
+            cadence: CheckpointCadence::Disabled,
+            sink: None,
         }
     }
 
     /// Resume from `bytes` captured by a previous suspension.
     #[must_use]
     pub fn resume(mut self, bytes: &'a [u8]) -> Self {
-        self.options.resume = Some(bytes);
+        self.resume = Some(bytes);
         self
     }
 
@@ -192,89 +149,79 @@ impl<'a> SimSession<'a> {
     /// where a checkpoint may or may not exist.
     #[must_use]
     pub fn maybe_resume(mut self, bytes: Option<&'a [u8]>) -> Self {
-        self.options.resume = bytes;
+        self.resume = bytes;
         self
     }
 
     /// Sets the checkpoint cadence.
     #[must_use]
     pub fn cadence(mut self, cadence: CheckpointCadence) -> Self {
-        self.options.cadence = cadence;
+        self.cadence = cadence;
         self
     }
 
     /// Sets the checkpoint sink; returning `false` suspends the run.
     #[must_use]
-    pub fn sink(mut self, sink: &'a mut dyn FnMut(&[u8]) -> bool) -> Self {
-        self.options.sink = Some(sink);
+    pub fn sink(mut self, sink: Sink<'a>) -> Self {
+        self.sink = Some(sink);
         self
     }
 
-    /// Forces the invariant sanitizer on or off, overriding the config.
-    #[must_use]
-    pub fn sanitize(mut self, on: bool) -> Self {
-        self.options.sanitize = Some(on);
-        self
-    }
-
-    /// Installs a fault-injection plan, overriding the config.
-    #[must_use]
-    pub fn fault(mut self, plan: FaultPlan) -> Self {
-        self.options.fault = Some(plan);
-        self
-    }
-
-    /// Runs `seeds` in lockstep, one lane per seed (`config.seed` is
-    /// ignored). One seed is exactly the scalar path.
-    #[must_use]
-    pub fn batch_seeds(mut self, seeds: &'a [u64]) -> Self {
-        self.options.batch_seeds = Some(seeds);
-        self
-    }
-
-    /// Executes the session.
+    /// Executes the session: one `System` stepped record by record, with a
+    /// checkpoint offered to the sink whenever the cadence falls due.
     ///
     /// # Errors
     ///
     /// Returns the decode error when resume bytes are truncated, corrupted,
     /// forged, or captured from a differently-configured session (other
-    /// mechanism, other seeds, other batch width).
+    /// mechanism, other seed).
     ///
     /// # Panics
     ///
-    /// Panics if the measurement window is empty, `batch_seeds` is set but
-    /// empty, or the batch seeds are not distinct.
+    /// Panics if the measurement window is empty.
     pub fn run(self) -> Result<SessionOutcome, SnapError> {
-        let SimSession {
-            mix,
-            config,
-            options,
-        } = self;
-        let mut config = config.clone();
-        if let Some(on) = options.sanitize {
-            config.sanitize = on;
-        }
-        if let Some(plan) = options.fault {
-            config.fault = Some(plan);
-        }
         assert!(
-            config.measure_insts > 0,
+            self.config.measure_insts > 0,
             "measurement window must be nonempty"
         );
-        let one_seed = [config.seed];
-        let seeds: &[u64] = match options.batch_seeds {
-            Some(seeds) => {
-                assert!(!seeds.is_empty(), "batch_seeds must name at least one seed");
-                seeds
-            }
-            None => &one_seed,
+        let mut sys = System::new(self.mix, self.config);
+        let mut st = match self.resume {
+            Some(bytes) => sys.resume_from(bytes)?,
+            None => RunState::cold(&sys),
         };
-        let mut batch = SeedBatch::new(mix, &config, seeds);
-        if let Some(bytes) = options.resume {
-            batch.restore_from(bytes)?;
-        }
         let mut accept_all = |_: &[u8]| true;
-        let sink = options.sink.unwrap_or(&mut accept_all);
-        Ok(batch.drive(options.cadence, sink))
+        let sink = self.sink.unwrap_or(&mut accept_all);
+        let mut last_checkpoint = std::time::Instant::now();
+        // Records since the last checkpoint / clock probe. Counting up to a
+        // threshold instead of testing `steps %` every record keeps the u64
+        // divisions out of the loop.
+        let mut since_checkpoint = 0u64;
+        let mut since_probe = 0u64;
+        while sys.micro_step(&mut st) {
+            since_checkpoint += 1;
+            since_probe += 1;
+            let due = match self.cadence {
+                CheckpointCadence::Disabled => false,
+                CheckpointCadence::EveryRecords(every) => every != 0 && since_checkpoint >= every,
+                CheckpointCadence::WallClock {
+                    target,
+                    probe_records,
+                } => {
+                    probe_records != 0 && since_probe >= probe_records && {
+                        since_probe = 0;
+                        last_checkpoint.elapsed() >= target
+                    }
+                }
+            };
+            if due {
+                since_checkpoint = 0;
+                since_probe = 0;
+                last_checkpoint = std::time::Instant::now();
+                if !sink(&sys.checkpoint(&st)) {
+                    return Ok(SessionOutcome::Suspended);
+                }
+            }
+        }
+        Ok(SessionOutcome::Finished(Box::new(sys.finish(&st))))
     }
 }

@@ -1,7 +1,7 @@
 //! The assembled system: cores + shared LLC + DRAM, and the run loop.
 
 use cache_sim::lastwrite::RewriteFilterStats;
-use dbi::snap::Snapshot;
+use dbi::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use dbi::DbiStats;
 use dram_sim::{DramEnergy, DramStats, MemoryController};
 use trace_gen::mix::WorkloadMix;
@@ -128,14 +128,14 @@ fn diff_llc(end: &LlcStats, start: &LlcStats) -> LlcStats {
 /// Run-loop progress that lives outside the [`System`] itself: step count,
 /// phase, and the measurement baselines captured at the warmup boundary.
 ///
-/// One `RunState` accompanies each [`System`] lane of a
-/// [`crate::batch::SeedBatch`]; the phase a lane is in is *derived* from
-/// it (`!measuring` → warmup, otherwise measuring until every core has an
-/// end snapshot), never stored separately.
+/// The run loop of [`System::run`] or [`crate::session::SimSession`] owns
+/// one alongside its `System`. The phase is *derived* from it
+/// (`!measuring` → warmup, otherwise measuring until every core has an end
+/// snapshot), never stored separately.
 #[derive(Debug)]
 pub(crate) struct RunState {
-    pub(crate) steps: u64,
-    pub(crate) measuring: bool,
+    steps: u64,
+    measuring: bool,
     base: Vec<CoreSnapshot>,
     end: Vec<Option<CoreSnapshot>>,
     llc_base: LlcStats,
@@ -162,7 +162,7 @@ impl RunState {
         self.end.iter().filter(|e| e.is_some()).count()
     }
 
-    pub(crate) fn write(&self, w: &mut dbi::snap::SnapWriter) {
+    fn write(&self, w: &mut dbi::snap::SnapWriter) {
         w.u64(self.steps);
         w.bool(self.measuring);
         if !self.measuring {
@@ -199,7 +199,7 @@ impl RunState {
         }
     }
 
-    pub(crate) fn read(
+    fn read(
         r: &mut dbi::snap::SnapReader<'_>,
         sys: &System,
     ) -> Result<RunState, dbi::snap::SnapError> {
@@ -316,9 +316,9 @@ impl System {
     ///
     /// Cores that finish their measurement quota keep running (and keep
     /// generating interference) until every core has finished, following
-    /// the standard multi-programmed methodology. Checkpointing, resume,
-    /// and multi-seed batching live on [`crate::session::SimSession`],
-    /// which drives these same micro-steps.
+    /// the standard multi-programmed methodology. Checkpointing and resume
+    /// live on [`crate::session::SimSession`], which drives these same
+    /// micro-steps.
     ///
     /// # Panics
     ///
@@ -334,16 +334,14 @@ impl System {
         self.finish(&st)
     }
 
-    /// Advances this lane by exactly one trace record, performing the
+    /// Advances the run by exactly one trace record, performing the
     /// warmup→measure transition when it falls due. Returns `false` once
     /// the run is complete (every core has retired its measurement quota)
     /// — a terminal state; further calls stay `false` and step nothing.
     ///
-    /// This is the unit of lockstep interleaving: because lanes share no
-    /// state, any interleaving of whole micro-steps across lanes replays
-    /// each lane's exact scalar step sequence — sanitizer scan points and
-    /// measurement boundaries derive only from `st`, never from the other
-    /// lanes or from wall-clock time.
+    /// Sanitizer scan points and measurement boundaries derive only from
+    /// `st`, never from wall-clock time, so a checkpoint taken between any
+    /// two steps resumes into the exact same step sequence.
     pub(crate) fn micro_step(&mut self, st: &mut RunState) -> bool {
         let warm = self.config.warmup_insts;
         if !st.measuring {
@@ -394,39 +392,44 @@ impl System {
         true
     }
 
-    /// Serializes the mid-run state of this lane (mechanisms + run-loop
-    /// progress) into an open snapshot stream.
-    pub(crate) fn write_lane(&self, st: &RunState, w: &mut dbi::snap::SnapWriter) {
-        self.snapshot(w);
-        st.write(w);
+    /// Serializes the mid-run state (mechanisms + run-loop progress) into
+    /// one self-checksummed checkpoint image. The image opens with a run
+    /// count of 1 and the seed — the layout of the former multi-seed
+    /// format, kept so older checkpoints still restore.
+    pub(crate) fn checkpoint(&self, st: &RunState) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.usize(1);
+        w.u64(self.config.seed);
+        self.snapshot(&mut w);
+        st.write(&mut w);
         // Coherence cross-check: total dirty LLC ways, recomputed from the
-        // restored dirty words on restore (see `validate_resume`).
+        // restored dirty words on restore.
         w.u64(self.dirty_ways());
+        w.finish()
     }
 
-    /// Restores one lane from an open snapshot stream and cross-checks the
-    /// run-state against the restored system: relations that hold for every
-    /// legitimately captured snapshot, so a forged or mismatched image
-    /// fails with [`SnapError::Corrupt`](dbi::snap::SnapError) instead of
-    /// producing plausible-looking results.
-    pub(crate) fn read_lane(
-        &mut self,
-        r: &mut dbi::snap::SnapReader<'_>,
-    ) -> Result<RunState, dbi::snap::SnapError> {
-        use dbi::snap::SnapError;
-        self.restore(r)?;
-        let st = RunState::read(r, self)?;
+    /// Restores a checkpoint image written by [`System::checkpoint`] and
+    /// cross-checks the run-state against the restored system: relations
+    /// that hold for every legitimately captured snapshot, so a forged or
+    /// mismatched image (other seed, other mechanism) fails with
+    /// [`SnapError`] instead of producing plausible-looking results.
+    pub(crate) fn resume_from(&mut self, bytes: &[u8]) -> Result<RunState, SnapError> {
+        let mut r = SnapReader::new(bytes)?;
+        r.expect_len("checkpoint run count", 1)?;
+        r.expect_u64("checkpoint seed", self.config.seed)?;
+        self.restore(&mut r)?;
+        let st = RunState::read(&mut r, self)?;
         let dirty = r.u64()?;
         if dirty != self.dirty_ways() {
             return Err(SnapError::Corrupt(format!(
-                "lane dirty-way cross-check: snapshot says {dirty}, restored LLC has {}",
+                "dirty-way cross-check: snapshot says {dirty}, restored LLC has {}",
                 self.dirty_ways()
             )));
         }
         let records: u64 = self.cores.iter().map(|c| c.records).sum();
         if st.steps != records {
             return Err(SnapError::Corrupt(format!(
-                "lane step count {} does not match {records} core records",
+                "step count {} does not match {records} core records",
                 st.steps
             )));
         }
@@ -434,7 +437,7 @@ impl System {
             for (i, c) in self.cores.iter().enumerate() {
                 if c.insts < self.config.warmup_insts {
                     return Err(SnapError::Corrupt(format!(
-                        "measuring lane with core {i} still below the warmup quota"
+                        "measuring run with core {i} still below the warmup quota"
                     )));
                 }
                 let b = st.base[i];
@@ -458,42 +461,27 @@ impl System {
                 }
             }
         }
+        r.finish()?;
         Ok(st)
     }
 
-    /// Total dirty LLC ways, computed through the bulk
-    /// [`DirtyView::mask_words`](cache_sim::DirtyView::mask_words) query.
+    /// Total dirty LLC ways, summed over the per-set dirty masks.
     fn dirty_ways(&self) -> u64 {
         let cache = self.llc.cache();
-        let sets = cache.config().sets();
         let view = cache.dirty();
-        let mut idx = [cache_sim::SetIdx(0); 64];
-        let mut words = [0u64; 64];
-        let mut total = 0u64;
-        let mut set = 0u64;
-        while set < sets {
-            let n = ((sets - set) as usize).min(64);
-            for (k, slot) in idx[..n].iter_mut().enumerate() {
-                *slot = cache_sim::SetIdx(set + k as u64);
-            }
-            view.mask_words(&idx[..n], &mut words[..n]);
-            total += words[..n]
-                .iter()
-                .map(|w| u64::from(w.count_ones()))
-                .sum::<u64>();
-            set += n as u64;
-        }
-        total
+        (0..cache.config().sets())
+            .map(|set| u64::from(view.mask(cache_sim::SetIdx(set)).count()))
+            .sum()
     }
 
-    /// Folds a completed lane into its measured results — the stat diffs
+    /// Folds a completed run into its measured results — the stat diffs
     /// against the warmup baselines, plus the end-of-run verification
-    /// passes. Mutating (the checker flushes the hierarchy), so the batch
-    /// engine calls it only after every lane has finished stepping.
+    /// passes. Mutating (the checker flushes the hierarchy), so it runs
+    /// once, after the last step.
     ///
     /// # Panics
     ///
-    /// Panics if the lane has not finished (some core has no end snapshot).
+    /// Panics if the run has not finished (some core has no end snapshot).
     pub(crate) fn finish(mut self, st: &RunState) -> MixResult {
         let cores: Vec<CoreResult> = self
             .cores
