@@ -1,11 +1,11 @@
 //! `bench_store` — measures the result store's persistence hot paths.
 //!
 //! Three phases against a scratch store: *ingest* (loose `.entry` saves
-//! per second — the cost a campaign pays per simulated unit), *scan*
-//! (MB/s reading every record back out of compacted segment files — the
-//! cost of a merge or audit over a cold archive), and *warm open*
-//! (latency of opening a compacted store and serving the first hit —
-//! the cost every warm rerun pays before its first result). The entries
+//! per second — the cost a campaign pays per simulated unit), *warm
+//! load* (one fresh store handle loading every entry — the store's share
+//! of a warm rerun; median, min and max over several trials), and *warm
+//! open* (latency of opening a store and serving the first hit — the
+//! cost every warm rerun pays before its first result). The entries
 //! are real serialized results saved under distinct synthetic keys, so
 //! the bytes on disk match what a campaign writes. Writes
 //! `BENCH_store.json` at the workspace root; the committed copy pins
@@ -18,10 +18,14 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use dbi_bench::store::unit_key;
-use dbi_bench::{compact_store, BenchArgs, CompactOptions, Effort, ResultStore, SegmentSet};
+use dbi_bench::{BenchArgs, Effort, ResultStore};
 use system_sim::{run_mix, Mechanism, SystemConfig};
 use trace_gen::mix::WorkloadMix;
 use trace_gen::Benchmark;
+
+/// Trials of the warm-load phase; the JSON records their median, min and
+/// max.
+const LOAD_TRIALS: usize = 5;
 
 fn main() {
     let (args, extras) = BenchArgs::parse_with(&["--out"]);
@@ -63,26 +67,23 @@ fn main() {
     let ingest_seconds = start.elapsed().as_secs_f64();
     let ingest_rate = entries as f64 / ingest_seconds;
 
-    eprintln!("bench_store: compact...");
-    let start = Instant::now();
-    let report = compact_store(&scratch, &CompactOptions::default()).expect("compact");
-    let compact_seconds = start.elapsed().as_secs_f64();
-    assert_eq!(report.folded as usize, entries, "all entries must fold");
-
-    eprintln!("bench_store: scan segments...");
-    let start = Instant::now();
-    let set = SegmentSet::open_dir(&scratch);
-    let mut scanned_bytes = 0u64;
-    let mut scanned_records = 0usize;
-    for segment in set.segments() {
-        for (_, text) in segment.read_all_records().expect("scan") {
-            scanned_bytes += text.len() as u64;
-            scanned_records += 1;
-        }
-    }
-    let scan_seconds = start.elapsed().as_secs_f64();
-    assert_eq!(scanned_records, entries, "scan must see every record");
-    let scan_mb_per_sec = (scanned_bytes as f64 / 1.0e6) / scan_seconds;
+    eprintln!("bench_store: warm load x{LOAD_TRIALS}...");
+    let mut load_seconds: Vec<f64> = (0..LOAD_TRIALS)
+        .map(|_| {
+            let start = Instant::now();
+            let fresh = ResultStore::open(scratch.clone());
+            for key in &keys {
+                assert!(fresh.load(key).is_some(), "warm load must hit");
+            }
+            start.elapsed().as_secs_f64()
+        })
+        .collect();
+    load_seconds.sort_by(f64::total_cmp);
+    let (load_min, load_median, load_max) = (
+        load_seconds[0],
+        load_seconds[LOAD_TRIALS / 2],
+        load_seconds[LOAD_TRIALS - 1],
+    );
 
     eprintln!("bench_store: warm open x{opens}...");
     let probe = &keys[entries / 2];
@@ -93,12 +94,11 @@ fn main() {
     }
     let warm_open_ms = start.elapsed().as_secs_f64() * 1.0e3 / opens as f64;
 
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let json = format!(
-        "{{\n  \"schema\": \"dbi-store-perf/v1\",\n  \"effort\": \"{}\",\n  \"build\": \"{}\",\n  \"entries\": {entries},\n  \"ingest\": {{\n    \"wall_seconds\": {ingest_seconds:.3},\n    \"entries_per_sec\": {ingest_rate:.0}\n  }},\n  \"compact\": {{\n    \"wall_seconds\": {compact_seconds:.3},\n    \"folded\": {},\n    \"segment_bytes\": {}\n  }},\n  \"scan\": {{\n    \"wall_seconds\": {scan_seconds:.3},\n    \"bytes\": {scanned_bytes},\n    \"mb_per_sec\": {scan_mb_per_sec:.1}\n  }},\n  \"warm_open\": {{\n    \"opens\": {opens},\n    \"avg_ms\": {warm_open_ms:.3}\n  }}\n}}\n",
+        "{{\n  \"schema\": \"dbi-store-perf/v2\",\n  \"effort\": \"{}\",\n  \"build\": \"{}\",\n  \"cpus\": {cpus},\n  \"entries\": {entries},\n  \"ingest\": {{\n    \"wall_seconds\": {ingest_seconds:.3},\n    \"entries_per_sec\": {ingest_rate:.0}\n  }},\n  \"warm_load\": {{\n    \"trials\": {LOAD_TRIALS},\n    \"median_seconds\": {load_median:.4},\n    \"min_seconds\": {load_min:.4},\n    \"max_seconds\": {load_max:.4}\n  }},\n  \"warm_open\": {{\n    \"opens\": {opens},\n    \"avg_ms\": {warm_open_ms:.3}\n  }}\n}}\n",
         if args.effort == Effort::Full { "full" } else { "quick" },
         if cfg!(debug_assertions) { "debug" } else { "release" },
-        report.folded,
-        report.segment_bytes,
     );
     match std::fs::write(&out_path, &json) {
         Ok(()) => eprintln!("wrote {}", out_path.display()),
@@ -109,7 +109,8 @@ fn main() {
     }
     let _ = std::fs::remove_dir_all(&scratch);
     println!(
-        "ingest {ingest_rate:.0} entries/s; compact {entries} in {compact_seconds:.2}s; \
-         scan {scan_mb_per_sec:.1} MB/s; warm open {warm_open_ms:.2} ms"
+        "ingest {ingest_rate:.0} entries/s; warm load {entries} in {:.1} ms (median of \
+         {LOAD_TRIALS}); warm open {warm_open_ms:.2} ms",
+        load_median * 1.0e3
     );
 }

@@ -4,8 +4,7 @@
 //! invariant sanitizer can detect metadata corruption produced on demand.
 //! This module is the same discipline applied to the on-disk half of the
 //! harness: every persistence chokepoint — store entries, scenario blobs,
-//! checkpoints, leases, merge outputs, compaction segments, and the
-//! compaction pass's manifest/gc steps — runs its atomic-write protocol
+//! checkpoints, leases, merge outputs — runs its atomic-write protocol
 //! through indexed *failpoint sites* that can be armed to misbehave in
 //! controlled, reproducible ways:
 //!
@@ -61,23 +60,16 @@ pub enum Group {
     Lease,
     /// `merge_shards` writing verified entries into the output store.
     Merge,
-    /// `compact_store` writing an immutable `.seg` segment file.
-    Segment,
-    /// `compact_store`'s post-segment steps: the manifest update and the
-    /// garbage collection of folded loose entries.
-    Compact,
 }
 
 impl Group {
     /// Every group, in documentation order.
-    pub const ALL: [Group; 7] = [
+    pub const ALL: [Group; 5] = [
         Group::Entry,
         Group::Blob,
         Group::Ckpt,
         Group::Lease,
         Group::Merge,
-        Group::Segment,
-        Group::Compact,
     ];
 
     /// The command-line spelling of this group.
@@ -89,14 +81,11 @@ impl Group {
             Group::Ckpt => "ckpt",
             Group::Lease => "lease",
             Group::Merge => "merge",
-            Group::Segment => "segment",
-            Group::Compact => "compact",
         }
     }
 }
 
-/// One stage of the atomic-write protocol, or one of the compaction
-/// pass's own chokepoints.
+/// One stage of the atomic-write protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Writing the payload into the temp file.
@@ -107,22 +96,11 @@ pub enum Stage {
     Rename,
     /// `sync_all` on the parent directory (making the rename durable).
     DirSync,
-    /// Compaction only: the atomic rewrite of `segments.manifest` after a
-    /// new segment is durable.
-    Manifest,
-    /// Compaction only: deleting the loose entries a durable segment has
-    /// absorbed.
-    Gc,
 }
 
 impl Stage {
-    /// Every atomic-write stage, in protocol order (the compaction-only
-    /// stages live in [`Stage::COMPACT`]).
+    /// Every stage, in protocol order.
     pub const ALL: [Stage; 4] = [Stage::Write, Stage::Sync, Stage::Rename, Stage::DirSync];
-
-    /// The compaction pass's own stages, in protocol order: the manifest
-    /// rewrite, then the garbage collection of folded loose entries.
-    pub const COMPACT: [Stage; 2] = [Stage::Manifest, Stage::Gc];
 
     /// The command-line spelling of this stage.
     #[must_use]
@@ -132,8 +110,6 @@ impl Stage {
             Stage::Sync => "sync",
             Stage::Rename => "rename",
             Stage::DirSync => "dirsync",
-            Stage::Manifest => "manifest",
-            Stage::Gc => "gc",
         }
     }
 }
@@ -177,23 +153,16 @@ impl std::fmt::Display for Site {
 
 /// Every registered failpoint site — the set the recovery matrix
 /// enumerates. Leases are plain advisory writes, so they expose only
-/// their `write` stage; the compaction pass exposes its manifest and gc
-/// chokepoints; every atomic-write group exposes all four stages.
+/// their `write` stage; every atomic-write group exposes all four.
 #[must_use]
 pub fn all_sites() -> Vec<Site> {
     let mut sites = Vec::new();
     for group in Group::ALL {
-        match group {
-            Group::Lease => sites.push(Site::new(group, Stage::Write)),
-            Group::Compact => {
-                for stage in Stage::COMPACT {
-                    sites.push(Site::new(group, stage));
-                }
-            }
-            _ => {
-                for stage in Stage::ALL {
-                    sites.push(Site::new(group, stage));
-                }
+        if group == Group::Lease {
+            sites.push(Site::new(group, Stage::Write));
+        } else {
+            for stage in Stage::ALL {
+                sites.push(Site::new(group, stage));
             }
         }
     }
@@ -253,9 +222,7 @@ impl FailMode {
 
     /// Whether this mode is meaningful at `stage`: truncation needs a
     /// payload (write), a dropped fsync needs an fsync (sync/dirsync),
-    /// crash and EIO apply everywhere — including the compaction-only
-    /// manifest/gc chokepoints, which perform no payload write of their
-    /// own.
+    /// crash and EIO apply everywhere.
     #[must_use]
     pub fn applies_at(self, stage: Stage) -> bool {
         match self {
@@ -521,9 +488,8 @@ mod tests {
     #[test]
     fn registry_enumerates_all_protocol_sites() {
         let sites = all_sites();
-        // Five full protocols x four stages, plus the lease write and the
-        // compaction pass's manifest/gc chokepoints.
-        assert_eq!(sites.len(), 23);
+        // Four full protocols x four stages, plus the lease write.
+        assert_eq!(sites.len(), 17);
         for site in &sites {
             assert_eq!(Site::parse(&site.to_string()), Ok(*site));
             assert!(!modes_for(*site).is_empty());
@@ -532,33 +498,15 @@ mod tests {
     }
 
     #[test]
-    fn compact_sites_expose_only_crash_and_eio() {
-        for stage in [Stage::Manifest, Stage::Gc] {
-            let modes = modes_for(Site::new(Group::Compact, stage));
-            assert_eq!(modes, vec![FailMode::Crash, FailMode::Eio]);
-        }
-        // The segment group is a full atomic-write protocol.
-        assert_eq!(modes_for(Site::new(Group::Segment, Stage::Write)).len(), 4);
-        assert!(FailSpec::parse("compact.gc:torn")
-            .unwrap_err()
-            .contains("does not apply"));
-        assert_eq!(
-            FailSpec::parse("compact.manifest").unwrap().mode,
-            FailMode::Crash
-        );
-    }
-
-    #[test]
     fn catalog_names_every_site_with_its_modes() {
         let text = catalog();
         for site in all_sites() {
             assert!(text.contains(&site.to_string()), "catalog missing {site}");
         }
-        assert!(text.contains("segment.rename"));
-        assert!(text.contains("compact.gc"));
+        assert!(text.contains("merge.rename"));
         // A typo'd site fails with the catalog, not a bare error.
-        let err = Site::parse("segment.rname").unwrap_err();
-        assert!(err.contains("segment.rename") && err.contains("modes:"));
+        let err = Site::parse("merge.rname").unwrap_err();
+        assert!(err.contains("merge.rename") && err.contains("modes:"));
     }
 
     #[test]

@@ -14,17 +14,14 @@
 //! `results/.cache/` (see the `store` module).
 
 pub mod args;
-pub mod compact;
 pub mod failpoints;
 pub mod merge;
 mod persist;
 pub mod runner;
 pub mod scrub;
-pub mod segment;
 pub mod store;
 
 pub use crate::args::BenchArgs;
-pub use crate::compact::{compact_store, CompactOptions, CompactReport};
 pub use crate::failpoints::{
     all_sites, catalog, modes_for, CrashStyle, FailMode, FailSpec, CRASH_EXIT_CODE,
 };
@@ -33,7 +30,6 @@ pub use crate::runner::{
     interrupted, shard_of, AloneIpcCache, RunUnit, Runner, UnitFailure, UnitFault,
 };
 pub use crate::scrub::{scrub_store, ScrubOptions, ScrubReport};
-pub use crate::segment::{salvage, Segment, SegmentBuilder, SegmentSet};
 pub use crate::store::{
     fingerprint_hash, scenario_key, unit_fingerprint, unit_key, ResultStore, StoreKey,
     STORE_SCHEMA_VERSION,

@@ -29,10 +29,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use dbi_bench::failpoints::{self, CrashStyle, FailMode, FailPlan, FailSpec, Group};
 use dbi_bench::store::{scenario_key, unit_key, ResultStore, StoreKey};
-use dbi_bench::{
-    all_sites, compact_store, merge_shards, modes_for, scrub_store, CompactOptions, RunUnit,
-    ScrubOptions,
-};
+use dbi_bench::{all_sites, merge_shards, modes_for, scrub_store, RunUnit, ScrubOptions};
 use system_sim::{run_mix, Mechanism, MixResult, SystemConfig};
 use trace_gen::Benchmark;
 
@@ -93,8 +90,7 @@ fn ckpt_payload() -> Vec<u8> {
 }
 
 /// Performs the group's store operation against `dir` (for `Merge`,
-/// `shard` is the pre-populated input store; for `Segment`/`Compact`,
-/// `dir` was pre-seeded with a durable loose entry).
+/// `shard` is the pre-populated input store).
 fn perform(group: Group, dir: &Path, shard: &Path) -> std::io::Result<()> {
     let (_, key, result) = tiny();
     let store = ResultStore::open(dir.to_path_buf());
@@ -109,9 +105,6 @@ fn perform(group: Group, dir: &Path, shard: &Path) -> std::io::Result<()> {
                 "merge input was pre-verified: {report:?}"
             );
         }),
-        Group::Segment | Group::Compact => {
-            compact_store(dir, &CompactOptions::default()).map(|_| ())
-        }
     }
 }
 
@@ -152,16 +145,6 @@ fn assert_recovered(group: Group, dir: &Path) {
                 );
             }
         }
-        Group::Segment | Group::Compact => {
-            // Stronger than the write groups: the entry was durable
-            // BEFORE compaction started, so a crashed compaction must
-            // still serve it (from the segment or the loose file) — a
-            // miss here means compaction destroyed committed data.
-            let loaded = store
-                .load(key)
-                .expect("crashed compaction lost a durable entry");
-            assert!(same_result(&loaded, result), "served a wrong entry");
-        }
     }
 }
 
@@ -179,15 +162,10 @@ fn recovery_matrix_covers_every_site_and_mode() {
             let dir = s.dir.join("store");
             let shard = s.dir.join("shard");
 
-            // Pre-populate the merge input / compaction source before
-            // arming anything, so the only failpoint that can fire is
-            // the scenario's own.
+            // Pre-populate the merge input before arming anything, so the
+            // only failpoint that can fire is the scenario's own.
             if site.group == Group::Merge {
                 let src = ResultStore::open(shard.clone());
-                src.save(key, result).unwrap();
-            }
-            if matches!(site.group, Group::Segment | Group::Compact) {
-                let src = ResultStore::open(dir.clone());
                 src.save(key, result).unwrap();
             }
 
@@ -204,16 +182,6 @@ fn recovery_matrix_covers_every_site_and_mode() {
             match mode {
                 FailMode::Torn | FailMode::Crash | FailMode::Eio => {
                     assert!(outcome.is_err(), "{spec}: injected failure was swallowed");
-                }
-                // A short segment write is the one silent mode that MUST
-                // surface: compaction re-reads and deep-verifies the
-                // installed segment before deleting its sources, because
-                // garbage collection destroys the only other copy.
-                FailMode::Short if site.group == Group::Segment => {
-                    assert!(
-                        outcome.is_err(),
-                        "{spec}: a short segment must fail read-back verification"
-                    );
                 }
                 FailMode::Short | FailMode::DropSync => {
                     assert!(outcome.is_ok(), "{spec}: silent mode surfaced an error");
@@ -245,11 +213,6 @@ fn recovery_matrix_covers_every_site_and_mode() {
                     "healed checkpoint must round-trip"
                 ),
                 Group::Lease => assert_eq!(healed.lease_owner(key).as_deref(), Some(LEASE_OWNER)),
-                Group::Segment | Group::Compact => {
-                    let loaded = healed.load(key).expect("healed compacted entry must load");
-                    assert!(same_result(&loaded, result));
-                    assert!(healed.contains(key), "healed store must index the entry");
-                }
             }
             let report = scrub_store(&dir, &ScrubOptions::default()).unwrap();
             assert!(
@@ -258,15 +221,9 @@ fn recovery_matrix_covers_every_site_and_mode() {
             );
         }
     }
-    // Five full atomic-write protocols (4+3+2+3 modes across the four
-    // stages — entry, blob, ckpt, merge, segment), the lease's plain
-    // write (4 modes), and compaction's two coarse sites (crash+eio
-    // each).
-    assert_eq!(
-        scenarios,
-        5 * 12 + 4 + 2 * 2,
-        "the matrix shrank — sites untested"
-    );
+    // Four full atomic-write protocols (4+3+2+3 modes across the four
+    // stages) plus the lease's plain write (4 modes).
+    assert_eq!(scenarios, 4 * 12 + 4, "the matrix shrank — sites untested");
 }
 
 /// Disarmed failpoints must be invisible: the same operations succeed
