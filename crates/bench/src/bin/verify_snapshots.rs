@@ -1,13 +1,14 @@
 //! Determinism verifier for the checkpoint/restore layer.
 //!
 //! For every mechanism of Table 2 (plus a fully-loaded DBI configuration
-//! with the AWB rewrite filter and per-core L2 DBIs), runs one small
-//! workload twice: straight through, and crash-resumed — killed at every
-//! checkpoint and restarted from the snapshot just written. The two runs
-//! must agree on a digest covering *every* result field, with the
-//! shadow-memory checker and invariant sanitizer enabled so their state
-//! is exercised through the snapshot too. Any divergence exits nonzero
-//! naming the configuration.
+//! with the AWB rewrite filter and per-core L2 DBIs, and DBI+AWB+CLB at
+//! granularities 128 and 16, whose entries span two words and a quarter
+//! word), runs one small workload twice: straight through, and
+//! crash-resumed — killed at every checkpoint and restarted from the
+//! snapshot just written. The two runs must agree on a digest covering
+//! *every* result field, with the shadow-memory checker and invariant
+//! sanitizer enabled so their state is exercised through the snapshot
+//! too. Any divergence exits nonzero naming the configuration.
 //!
 //! This is the executable form of the guarantee the `--quick`/`--full`
 //! campaigns rely on: a `kill -9` mid-campaign costs wall-clock time, not
@@ -77,6 +78,16 @@ fn main() {
     loaded.awb_rewrite_filter = true;
     loaded.l2_dbi = true;
     configs.push(("DBI+AWB+CLB+filter+L2DBI".to_string(), loaded));
+    // Entry shapes other than one whole word: two words per entry, and a
+    // quarter word.
+    for granularity in [128, 16] {
+        let mut c = config_for(Mechanism::Dbi {
+            awb: true,
+            clb: true,
+        });
+        c.dbi.granularity = granularity;
+        configs.push((format!("DBI+AWB+CLB granularity {granularity}"), c));
+    }
 
     let mut failed = 0;
     for (label, config) in &configs {

@@ -10,7 +10,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::container::{ContainerPolicy, MAX_BITS};
+use crate::container::MAX_BITS;
 use crate::replacement::DbiReplacementPolicy;
 
 /// The DBI size parameter `alpha`: the ratio of blocks tracked by the DBI to
@@ -182,7 +182,6 @@ pub struct DbiConfig {
     granularity: usize,
     associativity: usize,
     policy: DbiReplacementPolicy,
-    container: ContainerPolicy,
 }
 
 impl DbiConfig {
@@ -252,7 +251,6 @@ impl DbiConfig {
             granularity,
             associativity,
             policy,
-            container: ContainerPolicy::Adaptive,
         })
     }
 
@@ -269,7 +267,6 @@ impl DbiConfig {
             self.associativity,
             self.policy,
         )
-        .map(|c| c.with_container(self.container))
     }
 
     /// Replaces the granularity, revalidating the geometry.
@@ -285,39 +282,12 @@ impl DbiConfig {
             self.associativity,
             self.policy,
         )
-        .map(|c| c.with_container(self.container))
-    }
-
-    /// Replaces the associativity, revalidating the geometry.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`DbiConfig::new`].
-    pub fn with_associativity(self, associativity: usize) -> Result<DbiConfig, DbiConfigError> {
-        DbiConfig::new(
-            self.cache_blocks,
-            self.alpha,
-            self.granularity,
-            associativity,
-            self.policy,
-        )
-        .map(|c| c.with_container(self.container))
     }
 
     /// Replaces the replacement policy (always valid).
     #[must_use]
     pub fn with_policy(mut self, policy: DbiReplacementPolicy) -> DbiConfig {
         self.policy = policy;
-        self
-    }
-
-    /// Replaces the dirty-container policy (always valid). The default,
-    /// [`ContainerPolicy::Adaptive`], switches each entry's representation
-    /// to the cheapest of dense words / sparse list / run-length as it
-    /// mutates; `DenseOnly`/`SparseOnly` pin it for ablations.
-    #[must_use]
-    pub fn with_container(mut self, container: ContainerPolicy) -> DbiConfig {
-        self.container = container;
         self
     }
 
@@ -349,12 +319,6 @@ impl DbiConfig {
     #[must_use]
     pub fn policy(&self) -> DbiReplacementPolicy {
         self.policy
-    }
-
-    /// The configured dirty-container policy.
-    #[must_use]
-    pub fn container(&self) -> ContainerPolicy {
-        self.container
     }
 
     /// Cumulative number of blocks the DBI can track

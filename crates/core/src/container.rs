@@ -18,9 +18,13 @@
 //! itself on mutation so its modeled metadata cost tracks the cheapest
 //! representation; the semantics (which bits are set) never depend on the
 //! representation, so hot-path callers query through the same API
-//! regardless. [`DirtyWords`] is the one word-level storage type shared by
-//! the dense representation, the cache's word-level dirty/valid index, and
-//! the Set State Vector.
+//! regardless. Its users are [`DirtyStore`](crate::DirtyStore) (the GB-scale
+//! DRAM cache and the sanitizer's shadow set), where those bytes are a
+//! result. [`DirtyWords`] is the one word-level storage type shared by the
+//! dense representation, the DBI's fixed per-entry bit vectors, the cache's
+//! word-level dirty/valid index, and the Set State Vector.
+
+use std::ops::Range;
 
 use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
@@ -38,11 +42,12 @@ const WORD_BITS: usize = 64;
 /// Packed `u64` bit storage shared by every word-level dirty structure.
 ///
 /// A `DirtyWords` is a flat bitmap of `bits` logical bits. Structures that
-/// want one whole word per slot (the cache's per-set valid/dirty index)
-/// allocate `slots * 64` bits and address bit `slot * 64 + i`; structures
-/// that want a contiguous bitmap (the SSV, the dense container
-/// representation) allocate exactly as many bits as they track. Snapshot
-/// restore rejects images with bits set past the logical length.
+/// want whole words per slot (the cache's per-set valid/dirty index, the
+/// DBI's per-entry bit vectors) allocate `slots * 64` bits and address bit
+/// `slot * 64 + i`; structures that want a contiguous bitmap (the SSV, the
+/// dense container representation) allocate exactly as many bits as they
+/// track. Snapshot restore rejects images with bits set past the logical
+/// length.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirtyWords {
     words: Vec<u64>,
@@ -72,29 +77,11 @@ impl DirtyWords {
         self.bits
     }
 
-    /// Returns `true` if no bit is set.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
     /// Reads the whole word `i` (for slot-per-word layouts and mask math).
     #[inline]
     #[must_use]
     pub fn word(&self, i: usize) -> u64 {
         self.words[i]
-    }
-
-    /// Overwrites the whole word `i` (for slot-per-word layouts that
-    /// rebuild a slot's mask wholesale).
-    #[inline]
-    pub fn set_word(&mut self, i: usize, word: u64) {
-        let used = self.bits.saturating_sub(i as u64 * 64).min(64);
-        debug_assert!(
-            used == 64 || word >> used == 0,
-            "word write past the logical length"
-        );
-        self.words[i] = word;
     }
 
     /// Returns whether `bit` is set.
@@ -138,7 +125,17 @@ impl DirtyWords {
     /// Number of set bits.
     #[must_use]
     pub fn count_ones(&self) -> u64 {
-        self.words.iter().map(|w| u64::from(w.count_ones())).sum()
+        self.count_ones_in(0..self.words.len())
+    }
+
+    /// Number of set bits in the words `words` (one slot of a layout with
+    /// several whole words per slot).
+    #[must_use]
+    pub fn count_ones_in(&self, words: Range<usize>) -> u64 {
+        self.words[words]
+            .iter()
+            .map(|w| u64::from(w.count_ones()))
+            .sum()
     }
 
     /// Clears every bit.
@@ -146,12 +143,24 @@ impl DirtyWords {
         self.words.fill(0);
     }
 
+    /// Clears the words `words`.
+    pub fn clear_words(&mut self, words: Range<usize>) {
+        self.words[words].fill(0);
+    }
+
     /// Iterates over the indices of set bits in ascending order.
     pub fn iter_ones(&self) -> WordOnes<'_> {
+        self.iter_ones_in(0..self.words.len())
+    }
+
+    /// Iterates over the set bits of the words `words` in ascending order,
+    /// as indices relative to the first of them.
+    pub fn iter_ones_in(&self, words: Range<usize>) -> WordOnes<'_> {
+        let words = &self.words[words];
         WordOnes {
-            words: &self.words,
+            words,
             word: 0,
-            bits: self.words.first().copied().unwrap_or(0),
+            bits: words.first().copied().unwrap_or(0),
         }
     }
 }
@@ -1063,7 +1072,7 @@ mod tests {
         assert!(w.clear(0));
         assert!(!w.clear(0));
         w.clear_all();
-        assert!(w.is_zero());
+        assert_eq!(w.count_ones(), 0);
     }
 
     #[test]

@@ -1,24 +1,21 @@
 //! The Dirty-Block Index structure.
 
+use std::ops::Range;
+
 use crate::config::DbiConfig;
-use crate::container::DirtyContainer;
+use crate::container::DirtyWords;
 use crate::replacement::PolicyState;
 use crate::stats::DbiStats;
 use crate::{BlockAddr, RowId};
 
-/// One valid DBI entry: the row it covers and the row's dirty container.
-#[derive(Debug, Clone)]
-struct Entry {
-    row: RowId,
-    bits: DirtyContainer,
-}
+/// Leads every DBI snapshot. Images of the earlier layout, which stored a
+/// variable-size container per entry, open with the set count instead and
+/// fail restore with a mismatch rather than decoding into the wrong fields.
+const SNAP_LAYOUT: u64 = u64::from_le_bytes(*b"DBIwords");
 
-/// One set of the set-associative DBI.
-#[derive(Debug, Clone)]
-struct Set {
-    ways: Vec<Option<Entry>>,
-    policy: PolicyState,
-}
+/// Row tag of a free way. No block address reaches this row: blocks are
+/// byte addresses shifted right by the block size.
+const FREE: RowId = RowId::MAX;
 
 /// A DBI entry that was evicted, carrying the writebacks it forces.
 ///
@@ -73,30 +70,46 @@ impl MarkOutcome {
 /// See the [crate-level documentation](crate) for the semantics and a usage
 /// example. All addresses are cache-block indices ([`BlockAddr`]); the row
 /// of a block is `block / granularity`.
+///
+/// Each entry is the paper's fixed `{valid, row tag, dirty bit vector}`,
+/// with validity folded into the tag. Entries live in flat arrays sized at
+/// construction and indexed `set * ways + way`, so no operation allocates
+/// per entry.
 #[derive(Debug, Clone)]
 pub struct Dbi {
     config: DbiConfig,
-    sets: Vec<Set>,
+    /// Row tag of each entry, [`FREE`] for a free way: a plain `u64` so a
+    /// set probe is one compare per way.
+    tags: Vec<RowId>,
+    /// Dirty bit vectors: entry `e` owns the whole words
+    /// `e * words_per_entry..(e + 1) * words_per_entry`, block offset `o`
+    /// at bit `o` of them. A free way's words are all clear.
+    bits: DirtyWords,
+    /// `ceil(granularity / 64)`.
+    words_per_entry: usize,
+    /// Replacement state, one per set.
+    policies: Vec<PolicyState>,
     dirty_blocks: u64,
     stats: DbiStats,
     /// Reused by [`flush_each`](Dbi::flush_each) so whole-index flushes
     /// allocate nothing after the first call. Not part of snapshot state.
-    flush_scratch: Vec<(RowId, u32, u32)>,
+    flush_scratch: Vec<(RowId, usize)>,
 }
 
 impl Dbi {
     /// Creates an empty DBI with the given geometry.
     #[must_use]
     pub fn new(config: DbiConfig) -> Self {
-        let sets = (0..config.sets())
-            .map(|_| Set {
-                ways: vec![None; config.associativity()],
-                policy: PolicyState::new(config.policy(), config.associativity()),
-            })
-            .collect();
+        let entries = config.entries() as usize;
+        let words_per_entry = config.granularity().div_ceil(64);
         Dbi {
             config,
-            sets,
+            tags: vec![FREE; entries],
+            bits: DirtyWords::per_word_slots(entries * words_per_entry),
+            words_per_entry,
+            policies: (0..config.sets())
+                .map(|_| PolicyState::new(config.policy(), config.associativity()))
+                .collect(),
             dirty_blocks: 0,
             stats: DbiStats::default(),
             flush_scratch: Vec::new(),
@@ -115,19 +128,59 @@ impl Dbi {
         block / self.config.granularity() as u64
     }
 
-    fn offset_of(&self, block: BlockAddr) -> usize {
-        (block % self.config.granularity() as u64) as usize
+    fn offset_of(&self, block: BlockAddr) -> u64 {
+        block % self.config.granularity() as u64
     }
 
+    /// Set of `row`: a plain modulo, since set counts need not be powers
+    /// of two.
     fn set_index(&self, row: RowId) -> usize {
-        (row % self.sets.len() as u64) as usize
+        (row % self.policies.len() as u64) as usize
     }
 
-    fn find_way(&self, set: usize, row: RowId) -> Option<usize> {
-        self.sets[set]
-            .ways
+    /// Entry indices of `set`'s ways.
+    fn set_entries(&self, set: usize) -> Range<usize> {
+        let ways = self.config.associativity();
+        set * ways..(set + 1) * ways
+    }
+
+    fn entry_words(&self, entry: usize) -> Range<usize> {
+        entry * self.words_per_entry..(entry + 1) * self.words_per_entry
+    }
+
+    /// Bit of `offset` within `entry` in the slab.
+    fn bit_of(&self, entry: usize, offset: u64) -> u64 {
+        (entry * self.words_per_entry * 64) as u64 + offset
+    }
+
+    fn entry_count(&self, entry: usize) -> u64 {
+        self.bits.count_ones_in(self.entry_words(entry))
+    }
+
+    /// Blocks marked dirty in `entry` (tagged `row`), ascending.
+    fn entry_blocks(&self, entry: usize, row: RowId) -> impl Iterator<Item = BlockAddr> + '_ {
+        let base = row * self.config.granularity() as u64;
+        self.bits
+            .iter_ones_in(self.entry_words(entry))
+            .map(move |o| base + o)
+    }
+
+    /// Valid entries as `(entry index, row)` pairs.
+    fn valid(&self) -> impl Iterator<Item = (usize, RowId)> + '_ {
+        self.tags
             .iter()
-            .position(|w| w.as_ref().is_some_and(|e| e.row == row))
+            .copied()
+            .enumerate()
+            .filter(|&(_, row)| row != FREE)
+    }
+
+    fn find_entry(&self, set: usize, row: RowId) -> Option<usize> {
+        let ways = self.set_entries(set);
+        let first = ways.start;
+        self.tags[ways]
+            .iter()
+            .position(|&tag| tag == row)
+            .map(|way| first + way)
     }
 
     /// Marks `block` dirty, the DBI side of a writeback request arriving at
@@ -162,56 +215,53 @@ impl Dbi {
     ) -> (bool, Option<RowId>) {
         self.stats.mark_requests += 1;
         let row = self.row_of(block);
+        assert_ne!(row, FREE, "block {block} lies past the last DBI row");
         let offset = self.offset_of(block);
-        let set_idx = self.set_index(row);
+        let set = self.set_index(row);
 
-        if let Some(way) = self.find_way(set_idx, row) {
+        if let Some(entry) = self.find_entry(set, row) {
             self.stats.entry_hits += 1;
-            let set = &mut self.sets[set_idx];
-            let entry = set.ways[way].as_mut().expect("way found valid");
-            let newly = entry.bits.set(offset);
+            let newly = self.bits.set(self.bit_of(entry, offset));
             if newly {
                 self.stats.bits_set += 1;
                 self.dirty_blocks += 1;
             }
-            set.policy.on_write_hit(way);
+            let way = entry - self.set_entries(set).start;
+            self.policies[set].on_write_hit(way);
             return (newly, None);
         }
 
         // Row miss: install a new entry, evicting if the set is full.
-        let granularity = self.config.granularity();
-        let container = self.config.container();
-        let Set { ways, policy } = &mut self.sets[set_idx];
-        let (way, evicted) = match ways.iter().position(Option::is_none) {
+        let ways = self.set_entries(set);
+        let first = ways.start;
+        let (way, evicted_row) = match self.tags[ways.clone()].iter().position(|&t| t == FREE) {
             Some(free) => (free, None),
             None => {
-                let victim = policy.victim_from(0..ways.len(), |w| {
-                    ways[w].as_ref().map_or(0, |e| e.bits.count())
+                let (bits, per) = (&self.bits, self.words_per_entry);
+                let victim = self.policies[set].victim_from(0..ways.len(), |w| {
+                    let entry = first + w;
+                    bits.count_ones_in(entry * per..(entry + 1) * per) as usize
                 });
-                let old = ways[victim].take().expect("full set has valid victim");
+                let entry = first + victim;
+                let old = self.tags[entry];
+                let before = writebacks.len();
+                writebacks.extend(self.entry_blocks(entry, old));
+                self.bits.clear_words(self.entry_words(entry));
+                let count = (writebacks.len() - before) as u64;
+                self.stats.entry_evictions += 1;
+                self.stats.eviction_writebacks += count;
+                self.dirty_blocks -= count;
                 (victim, Some(old))
             }
         };
 
-        let mut bits = DirtyContainer::new(granularity, container);
-        bits.set(offset);
-        ways[way] = Some(Entry { row, bits });
-        policy.on_insert(way);
+        let entry = first + way;
+        self.tags[entry] = row;
+        self.bits.set(self.bit_of(entry, offset));
+        self.policies[set].on_insert(way);
         self.stats.entry_insertions += 1;
         self.stats.bits_set += 1;
         self.dirty_blocks += 1;
-
-        let evicted_row = evicted.map(|old| {
-            let base = old.row * granularity as u64;
-            let before = writebacks.len();
-            writebacks.extend(old.bits.iter_ones().map(|o| base + o as u64));
-            let count = (writebacks.len() - before) as u64;
-            self.stats.entry_evictions += 1;
-            self.stats.eviction_writebacks += count;
-            self.dirty_blocks -= count;
-            old.row
-        });
-
         (true, evicted_row)
     }
 
@@ -221,14 +271,8 @@ impl Dbi {
     #[must_use]
     pub fn is_dirty(&self, block: BlockAddr) -> bool {
         let row = self.row_of(block);
-        let set = self.set_index(row);
-        self.find_way(set, row).is_some_and(|way| {
-            self.sets[set].ways[way]
-                .as_ref()
-                .expect("way found valid")
-                .bits
-                .get(self.offset_of(block))
-        })
+        self.find_entry(self.set_index(row), row)
+            .is_some_and(|entry| self.bits.get(self.bit_of(entry, self.offset_of(block))))
     }
 
     /// Clears `block`'s dirty bit (cache eviction of a dirty block, or a
@@ -238,20 +282,16 @@ impl Dbi {
     /// it can track another row (paper Section 2.2.3).
     pub fn clear_dirty(&mut self, block: BlockAddr) -> bool {
         let row = self.row_of(block);
-        let offset = self.offset_of(block);
-        let set_idx = self.set_index(row);
-        let Some(way) = self.find_way(set_idx, row) else {
+        let Some(entry) = self.find_entry(self.set_index(row), row) else {
             return false;
         };
-        let set = &mut self.sets[set_idx];
-        let entry = set.ways[way].as_mut().expect("way found valid");
-        if !entry.bits.clear(offset) {
+        if !self.bits.clear(self.bit_of(entry, self.offset_of(block))) {
             return false;
         }
         self.stats.bits_cleared += 1;
         self.dirty_blocks -= 1;
-        if entry.bits.is_empty() {
-            set.ways[way] = None;
+        if self.entry_count(entry) == 0 {
+            self.tags[entry] = FREE;
             self.stats.entry_invalidations += 1;
         }
         true
@@ -263,14 +303,10 @@ impl Dbi {
     /// Yields addresses in ascending order; empty if the row has no entry.
     pub fn row_dirty_blocks(&self, block: BlockAddr) -> impl Iterator<Item = BlockAddr> + '_ {
         let row = self.row_of(block);
-        let set = self.set_index(row);
-        let base = row * self.config.granularity() as u64;
-        self.find_way(set, row)
-            .and_then(|way| self.sets[set].ways[way].as_ref())
-            .map(|e| e.bits.iter_ones())
+        self.find_entry(self.set_index(row), row)
+            .map(|entry| self.entry_blocks(entry, row))
             .into_iter()
             .flatten()
-            .map(move |o| base + o as u64)
     }
 
     /// Removes the entry covering `block`'s row, returning the writebacks
@@ -278,11 +314,10 @@ impl Dbi {
     /// flushes — paper Section 7).
     pub fn flush_row(&mut self, block: BlockAddr) -> Option<EvictedRow> {
         let row = self.row_of(block);
-        let set_idx = self.set_index(row);
-        let way = self.find_way(set_idx, row)?;
-        let entry = self.sets[set_idx].ways[way].take().expect("way valid");
-        let base = entry.row * self.config.granularity() as u64;
-        let blocks: Vec<BlockAddr> = entry.bits.iter_ones().map(|o| base + o as u64).collect();
+        let entry = self.find_entry(self.set_index(row), row)?;
+        let blocks: Vec<BlockAddr> = self.entry_blocks(entry, row).collect();
+        self.bits.clear_words(self.entry_words(entry));
+        self.tags[entry] = FREE;
         self.dirty_blocks -= blocks.len() as u64;
         self.stats.entry_invalidations += 1;
         Some(EvictedRow { row, blocks })
@@ -294,26 +329,17 @@ impl Dbi {
     /// collected result, the visitor allocates nothing per call (an internal
     /// scratch list is reused across flushes).
     pub fn flush_each(&mut self, mut sink: impl FnMut(RowId, BlockAddr)) {
-        let granularity = self.config.granularity() as u64;
         let mut scratch = std::mem::take(&mut self.flush_scratch);
         scratch.clear();
-        for (si, set) in self.sets.iter().enumerate() {
-            for (wi, way) in set.ways.iter().enumerate() {
-                if let Some(entry) = way {
-                    scratch.push((entry.row, si as u32, wi as u32));
-                }
+        scratch.extend(self.valid().map(|(entry, row)| (row, entry)));
+        scratch.sort_unstable_by_key(|&(row, _)| row);
+        for &(row, entry) in &scratch {
+            for block in self.entry_blocks(entry, row) {
+                sink(row, block);
             }
         }
-        scratch.sort_unstable_by_key(|&(row, ..)| row);
-        for &(row, si, wi) in &scratch {
-            let entry = self.sets[si as usize].ways[wi as usize]
-                .take()
-                .expect("scratch points at a valid entry");
-            let base = row * granularity;
-            for offset in entry.bits.iter_ones() {
-                sink(row, base + offset as u64);
-            }
-        }
+        self.tags.fill(FREE);
+        self.bits.clear_all();
         self.dirty_blocks = 0;
         self.flush_scratch = scratch;
     }
@@ -321,13 +347,8 @@ impl Dbi {
     /// Iterates over every dirty block currently tracked, in no particular
     /// order. Intended for functional checking and debugging.
     pub fn dirty_blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
-        let granularity = self.config.granularity() as u64;
-        self.sets.iter().flat_map(move |set| {
-            set.ways.iter().flatten().flat_map(move |e| {
-                let base = e.row * granularity;
-                e.bits.iter_ones().map(move |o| base + o as u64)
-            })
-        })
+        self.valid()
+            .flat_map(move |(entry, row)| self.entry_blocks(entry, row))
     }
 
     /// Iterates over the DRAM rows that currently have at least one dirty
@@ -339,9 +360,7 @@ impl Dbi {
     /// row-striped mappings) instead of the whole tag store — useful for
     /// opportunistic write scheduling and DMA coherence.
     pub fn dirty_rows(&self) -> impl Iterator<Item = RowId> + '_ {
-        self.sets
-            .iter()
-            .flat_map(|set| set.ways.iter().flatten().map(|e| e.row))
+        self.valid().map(|(_, row)| row)
     }
 
     /// Whether any dirty block lives in a row satisfying `pred` — e.g.
@@ -358,41 +377,25 @@ impl Dbi {
         self.dirty_blocks
     }
 
-    /// Modeled metadata bytes of all valid entries' dirty containers (see
-    /// [`DirtyContainer::metadata_bytes`]) — the quantity the GB-scale
-    /// DRAM-cache figure compares across container policies.
-    #[must_use]
-    pub fn metadata_bytes(&self) -> u64 {
-        self.sets
-            .iter()
-            .flat_map(|s| s.ways.iter().flatten())
-            .map(|e| e.bits.metadata_bytes() as u64)
-            .sum()
-    }
-
     /// Number of valid entries.
     #[must_use]
     pub fn valid_entries(&self) -> u64 {
-        self.sets
-            .iter()
-            .map(|s| s.ways.iter().flatten().count() as u64)
-            .sum()
+        self.valid().count() as u64
     }
 
     /// Iterates over the valid entries as `(row, dirty-block count)` pairs,
     /// in no particular order — occupancy introspection for debugging and
     /// reporting.
     pub fn entries(&self) -> impl Iterator<Item = (RowId, usize)> + '_ {
-        self.sets
-            .iter()
-            .flat_map(|set| set.ways.iter().flatten().map(|e| (e.row, e.bits.count())))
+        self.valid()
+            .map(|(entry, row)| (row, self.entry_count(entry) as usize))
     }
 
     /// Whether the DBI currently holds an entry for `block`'s row.
     #[must_use]
     pub fn contains_row(&self, block: BlockAddr) -> bool {
         let row = self.row_of(block);
-        self.find_way(self.set_index(row), row).is_some()
+        self.find_entry(self.set_index(row), row).is_some()
     }
 
     /// Event counters accumulated since construction or the last
@@ -412,31 +415,31 @@ impl Dbi {
     ///
     /// # Panics
     ///
-    /// Panics if a valid entry has an empty bit vector, a set holds two
-    /// entries for one row, an entry sits in the wrong set, or the cached
-    /// dirty count disagrees with the per-entry population.
+    /// Panics if a valid entry has an empty bit vector, a free way holds
+    /// dirty bits, a set holds two entries for one row, an entry sits in
+    /// the wrong set, or the cached dirty count disagrees with the
+    /// per-entry population.
     pub fn assert_invariants(&self) {
         let mut total = 0u64;
-        for (si, set) in self.sets.iter().enumerate() {
+        for set in 0..self.policies.len() {
             let mut rows = std::collections::HashSet::new();
-            for entry in set.ways.iter().flatten() {
+            for entry in self.set_entries(set) {
+                let (row, count) = (self.tags[entry], self.entry_count(entry));
+                if row == FREE {
+                    assert_eq!(count, 0, "free DBI way {entry} holds dirty bits");
+                    continue;
+                }
+                assert!(count > 0, "valid DBI entry for row {row} has no dirty bits");
                 assert!(
-                    !entry.bits.is_empty(),
-                    "valid DBI entry for row {} has no dirty bits",
-                    entry.row
-                );
-                assert!(
-                    rows.insert(entry.row),
-                    "duplicate DBI entry for row {} in set {si}",
-                    entry.row
+                    rows.insert(row),
+                    "duplicate DBI entry for row {row} in set {set}"
                 );
                 assert_eq!(
-                    self.set_index(entry.row),
-                    si,
-                    "entry for row {} stored in wrong set",
-                    entry.row
+                    self.set_index(row),
+                    set,
+                    "entry for row {row} stored in wrong set"
                 );
-                total += entry.bits.count() as u64;
+                total += count;
             }
         }
         assert_eq!(total, self.dirty_blocks, "dirty-count cache out of sync");
@@ -449,17 +452,12 @@ impl Dbi {
 
 impl crate::snap::Snapshot for Dbi {
     fn snapshot(&self, w: &mut crate::snap::SnapWriter) {
-        w.usize(self.sets.len());
-        for set in &self.sets {
-            w.usize(set.ways.len());
-            for way in &set.ways {
-                w.bool(way.is_some());
-                if let Some(entry) = way {
-                    w.u64(entry.row);
-                    entry.bits.snapshot(w);
-                }
-            }
-            set.policy.snapshot(w);
+        w.u64(SNAP_LAYOUT);
+        w.usize(self.policies.len());
+        w.u64s(&self.tags);
+        self.bits.snapshot(w);
+        for policy in &self.policies {
+            policy.snapshot(w);
         }
         w.u64(self.dirty_blocks);
         self.stats.snapshot(w);
@@ -470,35 +468,39 @@ impl crate::snap::Snapshot for Dbi {
         r: &mut crate::snap::SnapReader<'_>,
     ) -> Result<(), crate::snap::SnapError> {
         use crate::snap::SnapError;
-        r.expect_len("DBI sets", self.sets.len())?;
+        r.expect_u64("DBI entry layout", SNAP_LAYOUT)?;
+        r.expect_len("DBI sets", self.policies.len())?;
+        r.fill_u64s("DBI entries", &mut self.tags)?;
+        self.bits.restore(r)?;
+        let n_sets = self.policies.len() as u64;
+        let ways = self.config.associativity();
+        // Offsets at or past the granularity exist only in entries narrower
+        // than a word.
         let granularity = self.config.granularity();
-        let container = self.config.container();
-        let n_sets = self.sets.len() as u64;
+        let spare = u64::MAX.checked_shl(granularity as u32).unwrap_or(0);
         let mut total = 0u64;
-        for (si, set) in self.sets.iter_mut().enumerate() {
-            r.expect_len("DBI ways", set.ways.len())?;
-            for way in &mut set.ways {
-                if r.bool()? {
-                    let row = r.u64()?;
-                    if row % n_sets != si as u64 {
-                        return Err(SnapError::Corrupt(format!(
-                            "DBI entry for row {row} restored into set {si}"
-                        )));
-                    }
-                    let mut bits = DirtyContainer::new(granularity, container);
-                    bits.restore(r)?;
-                    if bits.is_empty() {
-                        return Err(SnapError::Corrupt(format!(
-                            "valid DBI entry for row {row} has no dirty bits"
-                        )));
-                    }
-                    total += bits.count() as u64;
-                    *way = Some(Entry { row, bits });
-                } else {
-                    *way = None;
-                }
+        for (entry, &row) in self.tags.iter().enumerate() {
+            let (set, count) = (entry / ways, self.entry_count(entry));
+            let fault = if row == FREE {
+                (count != 0).then(|| format!("free DBI way {entry} holds dirty bits"))
+            } else if row % n_sets != set as u64 {
+                Some(format!("DBI entry for row {row} restored into set {set}"))
+            } else if count == 0 {
+                Some(format!("valid DBI entry for row {row} has no dirty bits"))
+            } else if self.bits.word(entry * self.words_per_entry) & spare != 0 {
+                Some(format!(
+                    "DBI entry for row {row} has bits past granularity {granularity}"
+                ))
+            } else {
+                None
+            };
+            if let Some(msg) = fault {
+                return Err(SnapError::Corrupt(msg));
             }
-            set.policy.restore(r)?;
+            total += count;
+        }
+        for policy in &mut self.policies {
+            policy.restore(r)?;
         }
         self.dirty_blocks = r.u64()?;
         if self.dirty_blocks != total {
@@ -752,5 +754,53 @@ mod tests {
         }
         assert!(dbi.dirty_count() <= 64);
         dbi.assert_invariants();
+    }
+
+    #[test]
+    fn restore_rejects_earlier_layout_and_forged_entries() {
+        use crate::snap::{restore_bytes, snapshot_bytes, SnapError, SnapWriter};
+        let mut dbi = small();
+        dbi.mark_dirty(13);
+
+        // The earlier layout opened with the set count, then per-set ways.
+        let mut old = SnapWriter::new();
+        old.usize(4);
+        old.usize(2);
+        let err = restore_bytes(&mut small(), &old.finish()).unwrap_err();
+        assert!(matches!(
+            err,
+            SnapError::Mismatch {
+                what: "DBI entry layout",
+                ..
+            }
+        ));
+
+        // Forge images from a good one by rewriting tags and slab words.
+        // The image opens with the layout tag and the set count, then the
+        // eight tags (row 1 sits in set 1, entry 2) and the slab, each a
+        // length followed by eight words.
+        let good = snapshot_bytes(&dbi);
+        restore_bytes(&mut small(), &good).unwrap();
+        let tag = |entry: usize| 24 + 8 * entry;
+        let word = |entry: usize| tag(8) + 8 + 8 * entry;
+        let forge = |f: &dyn Fn(&mut Vec<u8>)| {
+            let mut bytes = good[..good.len() - 8].to_vec();
+            f(&mut bytes);
+            let sum = crate::snap::fnv1a64(&bytes);
+            bytes.extend_from_slice(&sum.to_le_bytes());
+            restore_bytes(&mut small(), &bytes)
+        };
+        // Bits in a free way.
+        let err = forge(&|b| b[word(0)] = 1).unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(m) if m.contains("free DBI way")));
+        // A valid entry with no bits.
+        let err = forge(&|b| b[word(2)] = 0).unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(m) if m.contains("no dirty bits")));
+        // Row 2 belongs in set 2, not set 1.
+        let err = forge(&|b| b[tag(2)] = 2).unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(m) if m.contains("restored into set")));
+        // A bit past granularity 8.
+        let err = forge(&|b| b[word(2) + 1] = 1).unwrap_err();
+        assert!(matches!(err, SnapError::Corrupt(m) if m.contains("past granularity")));
     }
 }

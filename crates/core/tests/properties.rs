@@ -34,13 +34,28 @@ proptest! {
     /// The DBI and a reference set that honours the DBI's eviction reports
     /// agree exactly on the dirty population, and the structural invariants
     /// hold after every operation.
+    ///
+    /// Geometries are `(cache blocks, granularity)` at 4 ways: entries
+    /// narrower than a word (8–32), exactly one word (64), several words
+    /// (128, 512), and two with three sets, a count that is not a power
+    /// of two. Addresses span the whole cache.
     #[test]
     fn agrees_with_reference_dirty_set(
-        ops in prop::collection::vec(op_strategy(512), 1..400),
+        ops in prop::collection::vec(op_strategy(8192), 1..400),
         policy in policy_strategy(),
-        granularity in prop::sample::select(vec![8usize, 16, 32]),
+        geometry in prop::sample::select(vec![
+            (512u64, 8usize),
+            (512, 16),
+            (512, 32),
+            (1024, 64),
+            (2048, 128),
+            (8192, 512),
+            (384, 8),
+            (6144, 128),
+        ]),
     ) {
-        let config = DbiConfig::new(512, Alpha::QUARTER, granularity, 4, policy)
+        let (cache_blocks, granularity) = geometry;
+        let config = DbiConfig::new(cache_blocks, Alpha::QUARTER, granularity, 4, policy)
             .expect("valid test geometry");
         let mut dbi = Dbi::new(config);
         let mut reference: BTreeSet<u64> = BTreeSet::new();
@@ -48,6 +63,7 @@ proptest! {
         for op in ops {
             match op {
                 Op::Mark(b) => {
+                    let b = b % cache_blocks;
                     let out = dbi.mark_dirty(b);
                     prop_assert_eq!(out.newly_dirty, !reference.contains(&b));
                     reference.insert(b);
@@ -63,11 +79,12 @@ proptest! {
                     }
                 }
                 Op::Clear(b) => {
+                    let b = b % cache_blocks;
                     let was_set = dbi.clear_dirty(b);
                     prop_assert_eq!(was_set, reference.remove(&b));
                 }
                 Op::FlushRow(b) => {
-                    let flushed = dbi.flush_row(b);
+                    let flushed = dbi.flush_row(b % cache_blocks);
                     if let Some(row) = flushed {
                         for &wb in row.blocks() {
                             prop_assert!(reference.remove(&wb));
@@ -82,7 +99,7 @@ proptest! {
         listed.sort_unstable();
         let expect: Vec<u64> = reference.iter().copied().collect();
         prop_assert_eq!(listed, expect);
-        for b in 0..512u64 {
+        for b in 0..cache_blocks {
             prop_assert_eq!(dbi.is_dirty(b), reference.contains(&b));
         }
     }

@@ -54,9 +54,9 @@ pub(crate) struct CoreEngine {
     /// Trace records executed (one per [`CoreEngine::step`] call), the unit
     /// the perf-baseline harness reports throughput in.
     pub(crate) records: u64,
-    /// Reusable buffer for L2-DBI eviction sweeps, so per-eviction sweeps
-    /// do not allocate.
-    l2_sweep_scratch: Vec<u64>,
+    /// Reusable buffer for L2-DBI row sweeps and DBI-eviction writebacks,
+    /// sized to one DBI row so neither allocates.
+    l2_scratch: Vec<u64>,
 }
 
 impl CoreEngine {
@@ -98,7 +98,7 @@ impl CoreEngine {
             llc_reads: 0,
             llc_read_misses: 0,
             records: 0,
-            l2_sweep_scratch: Vec::new(),
+            l2_scratch: Vec::with_capacity(config.dbi.granularity),
         }
     }
 
@@ -281,18 +281,18 @@ impl CoreEngine {
                     self.l2_evict(victim.block, llc, dram, checker.as_deref_mut());
                 }
             }
-            let outcome = self
-                .l2_dbi
+            // L2-DBI eviction: the whole row's dirty blocks go to the LLC
+            // as one batch (they stay resident in L2, clean).
+            let mut evicted = std::mem::take(&mut self.l2_scratch);
+            evicted.clear();
+            self.l2_dbi
                 .as_mut()
                 .expect("checked above")
-                .mark_dirty(block);
-            if let Some(evicted) = outcome.evicted {
-                // L2-DBI eviction: the whole row's dirty blocks go to the
-                // LLC as one batch (they stay resident in L2, clean).
-                for &b in evicted.blocks() {
-                    llc.writeback(b, self.thread, self.cycle, dram, checker.as_deref_mut());
-                }
+                .mark_dirty_into(block, &mut evicted);
+            for &b in &evicted {
+                llc.writeback(b, self.thread, self.cycle, dram, checker.as_deref_mut());
             }
+            self.l2_scratch = evicted;
             return;
         }
         if self.l2.touch(block) {
@@ -328,7 +328,7 @@ impl CoreEngine {
             dram,
             checker.as_deref_mut(),
         );
-        let mut co_dirty = std::mem::take(&mut self.l2_sweep_scratch);
+        let mut co_dirty = std::mem::take(&mut self.l2_scratch);
         co_dirty.clear();
         co_dirty.extend(dbi.row_dirty_blocks(victim));
         for &b in &co_dirty {
@@ -338,7 +338,7 @@ impl CoreEngine {
                 .clear_dirty(b);
             llc.writeback(b, self.thread, self.cycle, dram, checker.as_deref_mut());
         }
-        self.l2_sweep_scratch = co_dirty;
+        self.l2_scratch = co_dirty;
     }
 
     #[cfg(test)]
@@ -391,9 +391,9 @@ impl CoreEngine {
 
 impl dbi::snap::Snapshot for CoreEngine {
     fn snapshot(&self, w: &mut dbi::snap::SnapWriter) {
-        // `l2_sweep_scratch` is cleared at the start of every sweep; the
-        // remaining config-derived fields (latencies, window, MSHRs) are
-        // validated structurally, not stored.
+        // `l2_scratch` is cleared before every use; the remaining
+        // config-derived fields (latencies, window, MSHRs) are validated
+        // structurally, not stored.
         w.u64(u64::from(self.thread));
         self.generator.snapshot(w);
         self.l1.snapshot(w);

@@ -87,10 +87,10 @@ pub struct SharedLlc {
     demand_port_free: u64,
     /// Next cycle the tag port is free of all probes (demand + sweeps).
     port_free: u64,
-    /// Reusable buffer for AWB sweep targets, so per-eviction sweeps do not
-    /// allocate.
+    /// Reusable buffer for AWB sweep targets, sized to one DBI row so
+    /// per-eviction sweeps do not allocate.
     sweep_scratch: Vec<u64>,
-    /// Reusable buffer for DBI-eviction writeback targets.
+    /// Reusable buffer for DBI-eviction writeback targets, sized likewise.
     dbi_evict_scratch: Vec<u64>,
     /// Online invariant sanitizer (opt-in via `SystemConfig::sanitize`).
     sanitizer: Option<Box<Sanitizer>>,
@@ -121,6 +121,7 @@ impl SharedLlc {
         let dbi = mechanism
             .uses_dbi()
             .then(|| Dbi::new(config.dbi.build(config.llc_blocks()).expect("valid DBI")));
+        let dbi_row = dbi.as_ref().map_or(0, |d| d.config().granularity());
         let dueling = mechanism
             .uses_tadip()
             .then(|| DuelingSelector::new(sets, 32, threads, 10));
@@ -157,8 +158,8 @@ impl SharedLlc {
             dram_row_blocks: u64::from(config.dram.mapping.blocks_per_row()),
             demand_port_free: 0,
             port_free: 0,
-            sweep_scratch: Vec::new(),
-            dbi_evict_scratch: Vec::new(),
+            sweep_scratch: Vec::with_capacity(dbi_row),
+            dbi_evict_scratch: Vec::with_capacity(dbi_row),
             sanitizer: config.sanitize.then(|| {
                 Box::new(Sanitizer::new(
                     matches!(mechanism, Mechanism::Vwq).then_some(sets),
